@@ -42,6 +42,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ..utils.atomic import write_json_atomic
 from .plan import FftPlan
 
 __all__ = [
@@ -220,16 +221,12 @@ def save_plan_cache_shapes(path: str) -> int:
 
     The file round-trips through :func:`warm_plan_cache_from_file`, so
     a long-lived service can snapshot its working set on shutdown and
-    start warm next time.
+    start warm next time.  The write is atomic: a crash mid-write
+    leaves the previous file loadable.
     """
-    import json
-
     with _lock:
         shapes = [[n, dt] for (n, dt) in _plans]
-    doc = {"schema": SHAPES_SCHEMA, "shapes": shapes}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json_atomic(path, {"schema": SHAPES_SCHEMA, "shapes": shapes})
     return len(shapes)
 
 

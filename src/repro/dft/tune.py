@@ -41,6 +41,7 @@ import time
 
 import numpy as np
 
+from ..utils.atomic import write_json_atomic
 from .stockham import (
     KERNEL_VARIANTS,
     _TILE_MAX_ELEMENTS,
@@ -384,6 +385,8 @@ def save_wisdom(path: str) -> int:
     portable ones, so each host writes (and later loads) only its own
     section — a shared filesystem can hold one wisdom file for a whole
     cluster.  Other hosts' sections already in the file are preserved.
+    The write is atomic: a crash mid-write leaves the previous file
+    loadable.
     """
     host = socket.gethostname()
     doc = {"schema": WISDOM_SCHEMA, "hosts": {}}
@@ -400,9 +403,7 @@ def save_wisdom(path: str) -> int:
             for (n, dt, bucket), entry in _wisdom.items()
         }
     doc["hosts"][host] = {"entries": entries}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json_atomic(path, doc)
     return len(entries)
 
 

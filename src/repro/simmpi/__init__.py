@@ -28,7 +28,6 @@ from .comm import (
     RecvRequest,
     Request,
     SendRequest,
-    ShrunkCommunicator,
     SubCommunicator,
     TransportPolicy,
     World,
@@ -58,7 +57,6 @@ __all__ = [
     "predicted_inter_node_messages",
     "resolve_algorithm",
     "Communicator",
-    "ShrunkCommunicator",
     "SubCommunicator",
     "World",
     "DesScheduler",

@@ -87,7 +87,6 @@ from .stats import TrafficStats
 __all__ = [
     "World",
     "Communicator",
-    "ShrunkCommunicator",
     "SubCommunicator",
     "TransportPolicy",
     "Request",
@@ -1961,273 +1960,39 @@ class Communicator:
 
     # ---- failure recovery (mini ULFM) ------------------------------------
 
-    def shrink(self, epoch: int = 0) -> "ShrunkCommunicator":
-        """A communicator over the surviving ranks (ULFM's ``MPI_Comm_shrink``).
+    def shrink(self, epoch: int = 0) -> "SubCommunicator":
+        """A split over the surviving members (ULFM's ``MPI_Comm_shrink``).
 
-        Membership is the world's current failed set; *epoch* separates
-        successive shrink generations (protocol retry rounds) by shifting
-        the collective tags, so traffic from an abandoned earlier round
-        can never be mistaken for the current one.
+        Members are this communicator's world ranks, ascending, minus the
+        world's failed set; they are renumbered ``0..size-1`` and
+        ``members`` keeps their world ranks.  Sends no messages.  *epoch*
+        separates successive shrink generations (protocol retry rounds)
+        by context, so traffic from an abandoned earlier round can never
+        be consumed by the current one.  The context omits the survivor
+        set on purpose: ranks that briefly disagree about who has failed
+        must still meet on one tag space, so the disagreement shows up
+        in the exchanged views instead of as a hang.
         """
-        failed = set(self.world.failed_ranks())
-        members = [r for r in range(self.world.nranks) if r not in failed]
-        return ShrunkCommunicator(self.world, self.rank, members, epoch=epoch)
+        survivors = sorted(
+            w
+            for w in map(self._world_rank_of, range(self.size))
+            if not self.world.is_failed(w)
+        )
+        ctx = self._split_ctx() + (("shrink", epoch),)
+        return SubCommunicator(self.world, survivors, self.world_rank, ctx)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Communicator(rank={self.rank}/{self.size})"
 
 
-class ShrunkCommunicator(Communicator):
-    """Communicator over the surviving ranks (:meth:`Communicator.shrink`).
-
-    Ranks keep their WORLD numbering for point-to-point traffic (so
-    recovery code can address peers by the ranks it already knows), but
-    ``size`` and the collectives span only ``members``.  Collective
-    *lists* (gather/allgather/scatter/alltoall results and arguments)
-    are indexed in member order — position ``i`` belongs to world rank
-    ``members[i]`` — exactly as if the survivors had been renumbered.
-
-    The world barrier counts dead ranks and is permanently broken after
-    a failure, so :meth:`barrier` here is message-based over the
-    members.  Collective tags live in a distinct band (``-1000`` and
-    below, strided by *epoch*) so messages of an abandoned
-    full-communicator collective — e.g. an ``allgather`` a peer sent
-    into before dying — can never be consumed by a shrunk collective.
-    """
-
-    def __init__(
-        self,
-        world: World,
-        rank: int,
-        members: Sequence[int],
-        epoch: int = 0,
-    ) -> None:
-        super().__init__(world, rank)
-        self.members = tuple(sorted(int(m) for m in members))
-        if rank not in self.members:
-            raise ValueError(
-                f"rank {rank} is not a member of the shrunk communicator"
-            )
-        self.epoch = int(epoch)
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def _ctag(self, base: int) -> int:
-        return -1000 + base - 50 * self.epoch
-
-    def _check_peer(self, peer: int, what: str) -> None:
-        # Point-to-point keeps world numbering: range-check the world.
-        if not 0 <= peer < self.world.nranks:
-            raise ValueError(
-                f"{what} rank {peer} out of range [0, {self.world.nranks})"
-            )
-
-    def _check_member(self, peer: int, what: str) -> None:
-        if peer not in self.members:
-            raise ValueError(f"{what} rank {peer} is not a surviving member")
-
-    def _root(self, root: int | None) -> int:
-        return self.members[0] if root is None else root
-
-    def barrier(self, timeout: float | None = None) -> None:
-        """Message-based member barrier (the world barrier is broken)."""
-        tracer = self.world.tracer
-        if tracer is not None:
-            tracer.record_barrier(self._phase, self.rank)
-        root = self.members[0]
-        tag = self._ctag(-9)
-        if self.rank == root:
-            for m in self.members[1:]:
-                self.recv(m, tag=tag, timeout=timeout)
-            for m in self.members[1:]:
-                self.send(0, m, tag=tag)
-        else:
-            self.send(0, root, tag=tag)
-            self.recv(root, tag=tag, timeout=timeout)
-
-    def bcast(self, obj: Any, root: int | None = None) -> Any:
-        root = self._root(root)
-        self._check_member(root, "root")
-        with self._traced_collective("bcast"):
-            tag = self._ctag(-1)
-            if self.rank == root:
-                for m in self.members:
-                    if m != root:
-                        self.send(obj, m, tag=tag)
-                return obj
-            return self.recv(root, tag=tag)
-
-    def gather(self, obj: Any, root: int | None = None) -> list[Any] | None:
-        root = self._root(root)
-        self._check_member(root, "root")
-        with self._traced_collective("gather"):
-            tag = self._ctag(-2)
-            if self.rank == root:
-                return [
-                    obj if m == self.rank else self.recv(m, tag=tag)
-                    for m in self.members
-                ]
-            self.send(obj, root, tag=tag)
-            return None
-
-    def allgather(self, obj: Any) -> list[Any]:
-        with self._traced_collective("allgather"):
-            tag = self._ctag(-3)
-            for m in self.members:
-                if m != self.rank:
-                    self.send(obj, m, tag=tag)
-            return [
-                obj if m == self.rank else self.recv(m, tag=tag)
-                for m in self.members
-            ]
-
-    def scatter(self, objs: Sequence[Any] | None, root: int | None = None) -> Any:
-        root = self._root(root)
-        self._check_member(root, "root")
-        with self._traced_collective("scatter"):
-            tag = self._ctag(-4)
-            if self.rank == root:
-                if objs is None or len(objs) != self.size:
-                    raise ValueError(
-                        f"scatter needs exactly {self.size} items at root"
-                    )
-                for i, m in enumerate(self.members):
-                    if m != root:
-                        self.send(objs[i], m, tag=tag)
-                return objs[self.members.index(root)]
-            return self.recv(root, tag=tag)
-
-    def alltoall(
-        self,
-        objs: Sequence[Any],
-        timeout: float | None = None,
-        algorithm: str | None = None,
-    ) -> list[Any]:
-        if algorithm not in (None, "pairwise"):
-            raise NotImplementedError(
-                "shrunk communicators exchange pairwise only (survivor sets "
-                "have no node structure to aggregate over)"
-            )
-        if len(objs) != self.size:
-            raise ValueError(f"alltoall needs exactly {self.size} send items")
-        if self.rank == self.members[0]:
-            self.stats.record_alltoall(self._phase)
-        with self._traced_collective("alltoall"):
-            tag = self._ctag(-5)
-            me = self.members.index(self.rank)
-            for i, m in enumerate(self.members):
-                if m != self.rank:
-                    self.send(objs[i], m, tag=tag)
-            out: list[Any] = [None] * self.size
-            self.stats.record_message(
-                self._phase, self.rank, self.rank, _payload_bytes(objs[me])
-            )
-            out[me] = objs[me]
-            for i, m in enumerate(self.members):
-                if m != self.rank:
-                    out[i] = self._collective_recv(
-                        m, tag=tag, timeout=timeout, what="alltoall(shrunk)"
-                    )
-            return out
-
-    def alltoall_matrix(
-        self,
-        sendbuf: np.ndarray,
-        timeout: float | None = None,
-        algorithm: str | None = None,
-    ) -> np.ndarray:
-        if algorithm not in (None, "pairwise"):
-            raise NotImplementedError(
-                "shrunk communicators exchange pairwise only (survivor sets "
-                "have no node structure to aggregate over)"
-            )
-        sendbuf = np.asarray(sendbuf)
-        return np.stack(self.alltoall(list(sendbuf), timeout=timeout))
-
-    def alltoallv(
-        self,
-        objs: Sequence[Any],
-        sources: Sequence[int] | None = None,
-        timeout: float | None = None,
-    ) -> list[Any]:
-        if len(objs) != self.size:
-            raise ValueError(f"alltoallv needs exactly {self.size} send items")
-        if self.rank == self.members[0]:
-            self.stats.record_alltoall(self._phase)
-        src_list = list(self.members) if sources is None else list(sources)
-        for src in src_list:
-            self._check_member(src, "source")
-        with self._traced_collective("alltoallv"):
-            tag = self._ctag(-6)
-            me = self.members.index(self.rank)
-            for i, m in enumerate(self.members):
-                if m != self.rank and objs[i] is not None:
-                    self.send(objs[i], m, tag=tag)
-            out: list[Any] = [None] * self.size
-            if objs[me] is not None:
-                self.stats.record_message(
-                    self._phase, self.rank, self.rank, _payload_bytes(objs[me])
-                )
-                out[me] = objs[me]
-            for src in src_list:
-                if src != self.rank:
-                    out[self.members.index(src)] = self._collective_recv(
-                        src, tag=tag, timeout=timeout, what="alltoallv(shrunk)"
-                    )
-            return out
-
-    def reduce(
-        self,
-        obj: Any,
-        op: Callable[[Any, Any], Any] = None,
-        root: int | None = None,
-    ):
-        root = self._root(root)
-        gathered = self.gather(obj, root=root)
-        if self.rank != root:
-            return None
-        combine = op if op is not None else (lambda a, b: a + b)
-        acc = gathered[0]
-        for item in gathered[1:]:
-            acc = combine(acc, item)
-        return acc
-
-    def allreduce(self, obj: Any, op: Callable[[Any, Any], Any] = None):
-        result = self.reduce(obj, op=op)
-        return self.bcast(result)
-
-    def ialltoall(self, objs: Sequence[Any], chunks: int = 1):
-        raise NotImplementedError(
-            "shrunk communicators support blocking collectives only"
-        )
-
-    def ialltoallv(
-        self,
-        objs: Sequence[Any],
-        sources: Sequence[int] | None = None,
-        chunks: int = 1,
-    ):
-        raise NotImplementedError(
-            "shrunk communicators support blocking collectives only"
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ShrunkCommunicator(rank={self.rank}, members={self.members}, "
-            f"epoch={self.epoch})"
-        )
-
-
 class SubCommunicator(Communicator):
-    """Communicator over a subset of ranks (:meth:`Communicator.split`).
+    """Communicator over a subset of ranks (:meth:`Communicator.split`,
+    :meth:`Communicator.split_by_node`, :meth:`Communicator.shrink`).
 
-    Unlike :class:`ShrunkCommunicator` (which keeps world numbering so
-    recovery code can address peers it already knows), a split follows
-    MPI semantics fully: members are RENUMBERED ``0..size-1`` in
-    ``(key, old rank)`` order, and every point-to-point and collective
-    operation addresses peers by the new local ranks.
+    A split follows MPI semantics fully: members are RENUMBERED
+    ``0..size-1`` (in ``(key, old rank)`` order for :meth:`split`), every
+    point-to-point and collective operation addresses peers by the new
+    local ranks, and ``members`` maps local ranks back to world ranks.
 
     Tag isolation: every wire message carries the communicator's
     context tuple inside the channel tag (``("sub", ctx, tag)``), so two
@@ -2335,12 +2100,6 @@ class SubCommunicator(Communicator):
         else:
             self.send(0, 0, tag=-9)
             self.recv(0, tag=-9, timeout=timeout)
-
-    def shrink(self, epoch: int = 0) -> "ShrunkCommunicator":
-        raise NotImplementedError(
-            "shrink() operates on world communicators; shrink the parent "
-            "and re-split"
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

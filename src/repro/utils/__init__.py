@@ -2,9 +2,9 @@
 
 This package deliberately contains only dependency-free utilities:
 argument validation, small number-theory helpers (gcd reduction, integer
-factorisation, bit manipulation) and array checks.  Anything with domain
-knowledge (FFT math, window design, communication) lives in the
-dedicated subpackages.
+factorisation, bit manipulation), array checks and an atomic JSON writer
+(:mod:`repro.utils.atomic`).  Anything with domain knowledge (FFT math,
+window design, communication) lives in the dedicated subpackages.
 """
 
 from .validation import (

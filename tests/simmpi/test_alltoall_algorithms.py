@@ -13,11 +13,14 @@ from repro.simmpi import (
     ALGORITHMS,
     ChaosSchedule,
     FaultPlan,
+    RankFailedError,
     TransportPolicy,
     predicted_inter_node_messages,
     resolve_algorithm,
     run_spmd,
 )
+
+GUARD_S = 30.0
 
 
 def _exchange(nranks, rpn, algorithm, elems=8, **kwargs):
@@ -69,6 +72,59 @@ class TestBitwiseEquivalence:
 
         run_spmd(2, body)
 
+    @pytest.mark.parametrize("engine", ["thread", "des"])
+    def test_shrunk_communicator_runs_every_schedule_bitwise(self, engine):
+        # 8 ranks, 2 per node, rank 3 killed: the survivors' node groups
+        # are ragged ({0,1} {2} {4,5} {6,7}), so every schedule and the
+        # nonblocking path run on a non-trivial shrunk communicator.
+        def body(comm):
+            with comm.phase("doom"):
+                pass
+            with pytest.raises(RankFailedError):
+                comm.barrier()
+            shrunk = comm.shrink()
+            gen = np.random.default_rng(991 + comm.rank)
+            objs = [
+                gen.standard_normal(6) + 1j * gen.standard_normal(6)
+                for _ in range(shrunk.size)
+            ]
+            ref = np.stack(shrunk.alltoall(objs, algorithm="pairwise"))
+            got = {
+                algo: np.stack(shrunk.alltoall(objs, algorithm=algo))
+                for algo in ALGORITHMS
+            }
+            got.update({
+                f"matrix-{algo}": shrunk.alltoall_matrix(
+                    np.stack(objs), algorithm=algo
+                )
+                for algo in ALGORITHMS
+            })
+            got["ialltoall"] = np.stack(
+                shrunk.ialltoall(objs, chunks=2).wait(timeout=GUARD_S)
+            )
+            return shrunk.members, ref, got
+
+        res = run_spmd(
+            8, body, ranks_per_node=2, resilient=True, engine=engine,
+            faults=FaultPlan().kill(3, phase="doom"), timeout=GUARD_S,
+        )
+        assert dict(res.failures).keys() == {3}
+        survivors = (0, 1, 2, 4, 5, 6, 7)
+        for me, wrank in enumerate(survivors):
+            members, ref, got = res.values[wrank]
+            assert members == survivors
+            # Row s is what survivor s addressed to this rank's local slot.
+            for s, src in enumerate(survivors):
+                gen = np.random.default_rng(991 + src)
+                sent = [
+                    gen.standard_normal(6) + 1j * gen.standard_normal(6)
+                    for _ in survivors
+                ]
+                assert np.array_equal(ref[s], sent[me])
+            for name, out in got.items():
+                assert out.dtype == ref.dtype, name
+                assert np.array_equal(out, ref), name
+
 
 class TestAlgorithmResolution:
     def test_registry(self):
@@ -107,16 +163,6 @@ class TestAlgorithmResolution:
     def test_invalid_world_default_rejected_at_construction(self):
         with pytest.raises(ValueError):
             run_spmd(2, lambda comm: None, alltoall_algorithm="ring")
-
-    def test_shrunk_communicator_rejects_non_pairwise(self):
-        def body(comm):
-            shrunk = comm.shrink()
-            with pytest.raises(NotImplementedError):
-                shrunk.alltoall([0, 1], algorithm="hierarchical")
-            return shrunk.alltoall([comm.rank] * 2, algorithm="pairwise")
-
-        res = run_spmd(2, body)
-        assert res.values == [[0, 1], [0, 1]]
 
 
 class TestMessageCountModel:

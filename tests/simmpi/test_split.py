@@ -201,13 +201,47 @@ class TestTagSpaceIsolation:
         assert (0, 2) in pairs and (2, 0) in pairs
         assert (1, 3) in pairs and (3, 1) in pairs
 
-    def test_shrink_on_subcommunicator_raises(self):
+    def test_shrink_on_subcommunicator_spans_its_survivors(self):
         def body(comm):
-            sub = comm.split(0)
-            with pytest.raises(NotImplementedError):
-                sub.shrink()
+            sub = comm.split(comm.rank % 2)
+            with comm.phase("doom"):
+                pass
+            with pytest.raises(RankFailedError):
+                comm.barrier()
+            shrunk = sub.shrink()
+            return shrunk.members, shrunk.rank, shrunk.allgather(comm.rank)
 
-        run_spmd(2, body)
+        res = run_spmd(
+            6,
+            body,
+            resilient=True,
+            faults=FaultPlan().kill(2, phase="doom"),
+            timeout=GUARD_S,
+        )
+        assert dict(res.failures).keys() == {2}
+        for rank, members in [(0, (0, 4)), (4, (0, 4)),
+                              (1, (1, 3, 5)), (3, (1, 3, 5)), (5, (1, 3, 5))]:
+            assert res.values[rank] == (
+                members, members.index(rank), list(members)
+            )
+
+    def test_shrink_sends_no_messages(self):
+        def totals(stats):
+            msgs = sum(stats.phase(p).total_messages for p in stats.phases())
+            return msgs, stats.total_bytes
+
+        def body(comm):
+            sub = comm.split(comm.rank % 2)
+            comm.barrier()
+            before = totals(comm.stats)
+            comm.shrink()
+            sub.shrink(epoch=1)
+            comm.barrier()
+            return before, totals(comm.stats)
+
+        res = run_spmd(4, body)
+        for before, after in res.values:
+            assert before == after
 
 
 class TestSplitUnderAdversity:
