@@ -45,8 +45,6 @@ bit-for-bit identical to the sequential one.
 from __future__ import annotations
 
 import sys
-import time
-from typing import Callable
 
 import numpy as np
 
@@ -54,6 +52,7 @@ from ..core.plan import SoiPlan, clear_soi_plan_cache, soi_plan_for
 from ..core.soi import soi_fft
 from ..dft import clear_plan_cache, fft as engine_fft, plan_cache_info
 from ..dft.naive import dft_matrix
+from ..dft.tune import race as _race
 from ..dft.twiddle import clear_twiddle_cache, twiddles
 from ..parallel.soi_dist import soi_fft_distributed
 from ..simmpi.runtime import run_spmd
@@ -157,37 +156,6 @@ def _legacy_soi_fft(x: np.ndarray, plan: SoiPlan) -> np.ndarray:
     yt = _legacy_backend_fft(segments)
     y = yt[:, : plan.m] / plan.demod
     return y.reshape(plan.n)
-
-
-# ----------------------------------------------------------------------
-# Timing machinery
-# ----------------------------------------------------------------------
-
-
-def _race(
-    variants: dict[str, Callable[[], object]], reps: int, burst: int = 3
-) -> dict[str, float]:
-    """Best-of-*reps* wall-clock microseconds per variant, interleaved.
-
-    Round-robin interleaving means every variant samples the same load
-    epochs, and taking the minimum discards scheduler noise — the
-    standard recipe for stable single-process microbenchmarks.  Each
-    turn runs a short *burst* of individually-timed calls so a variant
-    is measured in its own steady cache state rather than right after a
-    competitor evicted it.
-    """
-    for fn in variants.values():  # one untimed warm-up each
-        fn()
-    best = {k: float("inf") for k in variants}
-    for _ in range(reps):
-        for name, fn in variants.items():
-            for _ in range(burst):
-                t0 = time.perf_counter_ns()
-                fn()
-                dt = time.perf_counter_ns() - t0
-                if dt < best[name]:
-                    best[name] = dt
-    return {k: v / 1e3 for k, v in best.items()}
 
 
 def _max_rel(a: np.ndarray, b: np.ndarray) -> float:

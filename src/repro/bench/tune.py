@@ -38,7 +38,6 @@ from ..dft.stockham import stockham_fft
 from ..parallel.real_dist import rfft_distributed
 from ..parallel.soi_dist import soi_fft_distributed
 from ..simmpi.runtime import run_spmd
-from .micro import _race
 
 __all__ = ["run_tune", "TUNE_BENCH_SCHEMA"]
 
@@ -52,19 +51,11 @@ FULL_SHAPES = [(4096, 1), (16384, 16), (131072, 2), (256, 512), (1024, 64)]
 QUICK_SHAPES = [(1024, 16), (256, 64)]
 
 
-def _probe(n: int, nb: int) -> np.ndarray:
-    """The deterministic race input (same seed rule as ``race_shape``)."""
-    rng = np.random.default_rng(0xB0 + 31 * n + nb)
-    return (
-        rng.standard_normal((nb, n)) + 1j * rng.standard_normal((nb, n))
-    ).astype(np.complex128)
-
-
 def _bench_shape(n: int, nb: int, reps: int) -> dict:
     """Race one shape, install wisdom, re-measure tuned vs default."""
     race = tune.tune_shape(n, nb=nb, reps=reps)
     winner = race["config"]
-    x = _probe(n, nb)
+    x = tune._probe_input(n, nb)
     row = {
         "n": n,
         "nb": nb,
@@ -79,10 +70,10 @@ def _bench_shape(n: int, nb: int, reps: int) -> dict:
         row.update(ratio=1.0, measured=False, tuned_us=race["us"],
                    default_us=race["baseline_us"])
     else:
-        times = _race(
+        times = tune.race(
             {
-                "default": tune._runner(x, n, nb, tune.DEFAULT_CONFIG),
-                "tuned": tune._runner(x, n, nb, winner),
+                "default": tune._runner(x, tune.DEFAULT_CONFIG),
+                "tuned": tune._runner(x, winner),
             },
             reps,
         )

@@ -338,23 +338,18 @@ def _dft_rows(report: ConformanceReport) -> None:
             lambda plan=plan, x=x: (plan.execute(x, inverse=True), np.fft.ifft(x)),
         )
 
-    # Transposed layouts: oracle accuracy plus the documented bitwise
+    # Column layout: oracle accuracy plus the documented bitwise
     # equivalence to execute() with explicit transposes.
     plan128 = FftPlan(128)
-    x2 = _signal("dft.execute_t[128]", 4 * 128).reshape(4, 128)
-    _oracle_row(
-        report, "FftPlan.execute_t[n=128,radix2]", "dft", 128,
-        exact_tolerance(128),
-        lambda: (plan128.execute_t(x2), np.fft.fft(x2).T),
-    )
+    x2 = _signal("dft.execute_tt[128]", 4 * 128).reshape(4, 128)
+    xt = np.ascontiguousarray(x2.T)
     _bitwise_row(
-        report, "FftPlan.execute_t==execute().T[n=128]", "dft", 128,
+        report, "FftPlan.execute_tt==execute().T[n=128]", "dft", 128,
         lambda: (
-            plan128.execute_t(x2),
+            plan128.execute_tt(xt),
             np.ascontiguousarray(plan128.execute(x2).T),
         ),
     )
-    xt = np.ascontiguousarray(x2.T)
     _oracle_row(
         report, "FftPlan.execute_tt[n=128,radix2]", "dft", 128,
         exact_tolerance(128),

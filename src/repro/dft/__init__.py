@@ -6,9 +6,9 @@ complete, self-contained implementation:
 
 - :func:`~repro.dft.naive.dft` / :func:`~repro.dft.naive.idft` — the
   O(N^2) reference transform used as ground truth in tests.
-- :func:`~repro.dft.radix2.fft_radix2` — iterative, in-order
-  (bit-reversal + butterflies) power-of-two FFT, fully vectorised across
-  butterfly groups and across batches.
+- :func:`~repro.dft.radix2.fft_radix2` — the only radix-2 wrapper:
+  power-of-two FFT over the batched, self-sorting Stockham kernel
+  (:mod:`~repro.dft.stockham`), whose one entry transforms columns.
 - :func:`~repro.dft.mixed_radix.fft_mixed_radix` — recursive
   Cooley–Tukey for arbitrary smooth sizes.
 - :func:`~repro.dft.bluestein.fft_bluestein` — chirp-z algorithm for

@@ -26,7 +26,6 @@ from .plan import FftPlan
 
 __all__ = [
     "FftBackend",
-    "backend_fft_t",
     "backend_fft_tt",
     "register_backend",
     "get_backend",
@@ -41,33 +40,19 @@ class FftBackend:
     Both callables must follow NumPy conventions (forward unscaled,
     inverse scaled by 1/n) and accept arbitrary batch shapes.
 
-    ``fft_t`` is an optional fused kernel: given a 2-D ``(rows, n)``
-    array it returns the forward transform of each row *transposed*, as
-    a contiguous ``(n, rows)`` array.  Backends whose internal layout is
-    already transposed (the Stockham kernel) provide it to skip a
-    transpose copy; others leave it ``None`` and callers fall back to
-    ``fft`` + explicit transpose via :func:`backend_fft_t`.  Either way
-    the returned values must be bit-identical to the fallback.
+    ``fft_tt`` is an optional fused kernel: given a 2-D ``(n, cols)``
+    array it returns the forward transform of each *column* in the same
+    layout.  Backends whose internal layout is already column-major per
+    transform (the Stockham kernel) provide it to skip both transposes;
+    others leave it ``None`` and :func:`backend_fft_tt` falls back to
+    ``fft`` between two explicit transposes.  Either way the returned
+    values must be bit-identical to the fallback.
     """
 
     name: str
     fft: Callable[[np.ndarray], np.ndarray]
     ifft: Callable[[np.ndarray], np.ndarray]
-    fft_t: Callable[[np.ndarray], np.ndarray] | None = None
     fft_tt: Callable[[np.ndarray], np.ndarray] | None = None
-
-
-def backend_fft_t(backend: FftBackend, x2: np.ndarray) -> np.ndarray:
-    """Row-wise forward transform of 2-D *x2*, returned as ``(n, rows)``.
-
-    The SOI pipeline's segment stage wants the transform transposed (the
-    sequential ``P_perm`` reorder / the distributed all-to-all packing);
-    this helper routes to the backend's fused ``fft_t`` when available
-    and otherwise pays the explicit transpose the pipeline always paid.
-    """
-    if backend.fft_t is not None:
-        return backend.fft_t(x2)
-    return np.ascontiguousarray(np.swapaxes(backend.fft(x2), -1, -2))
 
 
 def backend_fft_tt(backend: FftBackend, xt: np.ndarray) -> np.ndarray:
@@ -126,19 +111,11 @@ def _repro_ifft(y: np.ndarray) -> np.ndarray:
     return plan_for(np.asarray(y).shape[-1]).execute(y, inverse=True)
 
 
-def _repro_fft_t(x2: np.ndarray) -> np.ndarray:
-    return plan_for(np.asarray(x2).shape[-1]).execute_t(x2)
-
-
 def _repro_fft_tt(xt: np.ndarray) -> np.ndarray:
     return plan_for(np.asarray(xt).shape[0]).execute_tt(xt)
 
 
-register_backend(
-    FftBackend(
-        "repro", _repro_fft, _repro_ifft, fft_t=_repro_fft_t, fft_tt=_repro_fft_tt
-    )
-)
+register_backend(FftBackend("repro", _repro_fft, _repro_ifft, fft_tt=_repro_fft_tt))
 register_backend(
     FftBackend(
         "numpy",

@@ -28,7 +28,7 @@ from collections import OrderedDict
 import numpy as np
 
 from ..utils import next_power_of_two
-from .radix2 import _radix2_core
+from .stockham import stockham_fft
 
 __all__ = ["fft_bluestein"]
 
@@ -63,7 +63,7 @@ def _setup(n: int, sign: int) -> tuple[np.ndarray, np.ndarray, int]:
     b = np.conj(a)
     v[:n] = b
     v[L - n + 1 :] = b[1:][::-1]
-    fv = _radix2_core(v, -1)
+    fv = stockham_fft(v, -1)
     a.setflags(write=False)
     fv.setflags(write=False)
     entry = (a, fv, L)
@@ -84,7 +84,7 @@ def _bluestein_core(x: np.ndarray, sign: int) -> np.ndarray:
     u = x * a
     up = np.zeros(x.shape[:-1] + (L,), dtype=np.complex128)
     up[..., :n] = u
-    conv = _radix2_core(_radix2_core(up, -1) * fv, +1) / L
+    conv = stockham_fft(stockham_fft(up, -1) * fv, +1) / L
     return conv[..., :n] * a
 
 

@@ -33,8 +33,7 @@ import numpy as np
 
 from ..utils import factorize, is_power_of_two
 from .naive import dft_matrix
-from .radix2 import _radix2_core
-from .stockham import _stockham_core_grouped
+from .stockham import _columns, stockham_fft
 from .twiddle import twiddles
 
 __all__ = ["fft_mixed_radix", "mixed_radix_schedule"]
@@ -143,7 +142,7 @@ def _execute(x: np.ndarray, sign: int, sched: _Schedule, level: int) -> np.ndarr
         if sched.tail == "one":
             return x.copy()
         if sched.tail == "radix2":
-            return _radix2_core(x, sign)
+            return stockham_fft(x, sign)
         from .bluestein import _bluestein_core  # local import avoids a cycle
 
         return _bluestein_core(x, sign)
@@ -159,18 +158,15 @@ def _execute(x: np.ndarray, sign: int, sched: _Schedule, level: int) -> np.ndarr
     bc = np.ascontiguousarray(b)
     if level + 1 == len(sched.levels) and sched.tail == "radix2" and lvl.q > 1:
         # Innermost level with a power-of-two tail (the SOI shapes:
-        # M' = odd * 2^a): run the Stockham core in its internal
-        # transposed layout and interleave straight into the output
-        # index k1 + p*k2 — one output copy instead of the core's
-        # own un-transpose followed by the swapaxes copy below.  Pure
-        # data movement; the butterfly arithmetic is untouched.
-        nbatch = 1
-        for dim in batch:
-            nbatch *= dim
-        raw = _stockham_core_grouped(bc.reshape(nbatch * lvl.p, lvl.q), lvl.q, sign)
-        out = np.ascontiguousarray(
-            raw.reshape(lvl.q, nbatch, lvl.p).swapaxes(0, 1)
-        )
+        # M' = odd * 2^a): hand the rows to the Stockham kernel as
+        # columns, keep its (q, rows) output layout and interleave
+        # straight into the output index k1 + p*k2 — one output copy
+        # instead of the row wrapper's un-transpose followed by the
+        # swapaxes copy below.  Pure data movement; the butterfly
+        # arithmetic is untouched.
+        rows = bc.reshape(-1, lvl.q)
+        raw = _columns(rows.T, lvl.q, sign)
+        out = np.ascontiguousarray(raw.reshape(lvl.q, -1, lvl.p).swapaxes(0, 1))
         return out.reshape(*batch, lvl.n)
     c = _execute(bc, sign, sched, level + 1)
     # Output index k1 + p*k2: swap (k1, k2) axes then flatten — the one

@@ -30,7 +30,7 @@ from ..utils import check_positive_int, factorize, is_power_of_two
 from .bluestein import fft_bluestein, _setup as _bluestein_setup
 from .flops import fft_flops
 from .mixed_radix import fft_mixed_radix, mixed_radix_schedule, _MAX_DENSE_PRIME
-from .stockham import stage_twiddles
+from .stockham import stage_twiddles, stockham_fft, stockham_fft_tt
 
 __all__ = ["FftPlan", "fft", "ifft"]
 
@@ -141,27 +141,6 @@ class FftPlan:
             cfgs[nb] = tune.tuned_config_for(self.n, self.compute_dtype, nb)
         return cfgs[nb]
 
-    def _execute_pow2(self, arr: np.ndarray, inverse: bool) -> np.ndarray:
-        """Power-of-two transform via the (possibly tuned) Stockham kernel."""
-        from .stockham import stockham_fft
-
-        nb = int(np.prod(arr.shape[:-1], dtype=np.int64)) or 1
-        cfg = self._tuned_config(nb)
-        sign = +1 if inverse else -1
-        if cfg is None:
-            out = stockham_fft(arr, sign)
-        else:
-            out = stockham_fft(
-                arr,
-                sign,
-                variant=cfg["variant"],
-                group_elements=cfg["group_elements"],
-                tile_elements=cfg["tile_elements"],
-            )
-        if inverse:
-            out = out / self.n
-        return out
-
     def execute(self, x: np.ndarray, inverse: bool | None = None) -> np.ndarray:
         """Transform *x* over its last axis; length must equal ``self.n``.
 
@@ -175,6 +154,7 @@ class FftPlan:
             )
         arr = self._as_compute(arr)
         inv = self.inverse if inverse is None else inverse
+        batch = int(np.prod(arr.shape[:-1], dtype=np.int64)) or 1
         if self.kernel == "mixed_radix":
             # Non-pow2 kernels compute in double; single-precision plans
             # round once at the boundary (strictly more accurate than a
@@ -183,50 +163,15 @@ class FftPlan:
         elif self.kernel == "bluestein":
             out = fft_bluestein(arr, inverse=inv)
         else:
-            out = self._execute_pow2(arr, inv)
+            out = stockham_fft(
+                arr, +1 if inv else -1, **(self._tuned_config(batch) or {})
+            )
+            if inv:
+                out = out / self.n
         if out.dtype != self.compute_dtype:
             out = out.astype(self.compute_dtype)
-        batch = int(np.prod(arr.shape[:-1], dtype=np.int64)) or 1
         with self._count_lock:
             self.executions += batch
-        return out
-
-    def execute_t(self, x2: np.ndarray) -> np.ndarray:
-        """Forward-transform the rows of 2-D *x2*, returned as ``(n, rows)``.
-
-        Bit-identical to ``execute(x2).T`` made contiguous, but the
-        radix-2 kernel produces this layout natively (the Stockham
-        network's internal orientation), so the transpose copy is
-        skipped.  Backends use this for pipeline stages that consume
-        the transposed layout anyway (the SOI segment reorder).
-        """
-        arr = np.asarray(x2)
-        if arr.ndim != 2:
-            raise ValueError(f"execute_t needs a 2-D array, got shape {arr.shape}")
-        if arr.shape[-1] != self.n:
-            raise ValueError(
-                f"plan is for length {self.n}, input last axis is {arr.shape[-1]}"
-            )
-        if self.kernel != "radix2" or self.n == 1:
-            # execute() does the flop accounting on this path.
-            return np.ascontiguousarray(
-                np.swapaxes(self.execute(arr, inverse=False), -1, -2)
-            )
-        from .stockham import stockham_fft_t
-
-        cfg = self._tuned_config(arr.shape[0])
-        if cfg is None:
-            out = stockham_fft_t(self._as_compute(arr), -1)
-        else:
-            out = stockham_fft_t(
-                self._as_compute(arr),
-                -1,
-                variant=cfg["variant"],
-                group_elements=cfg["group_elements"],
-                tile_elements=cfg["tile_elements"],
-            )
-        with self._count_lock:
-            self.executions += arr.shape[0]
         return out
 
     def execute_tt(self, xt: np.ndarray) -> np.ndarray:
@@ -250,19 +195,9 @@ class FftPlan:
                 np.ascontiguousarray(np.swapaxes(arr, 0, 1)), inverse=False
             )
             return np.ascontiguousarray(np.swapaxes(out, 0, 1))
-        from .stockham import stockham_fft_tt
-
-        cfg = self._tuned_config(arr.shape[1])
-        if cfg is None:
-            out = stockham_fft_tt(self._as_compute(arr), -1)
-        else:
-            out = stockham_fft_tt(
-                self._as_compute(arr),
-                -1,
-                variant=cfg["variant"],
-                group_elements=cfg["group_elements"],
-                tile_elements=cfg["tile_elements"],
-            )
+        out = stockham_fft_tt(
+            self._as_compute(arr), -1, **(self._tuned_config(arr.shape[1]) or {})
+        )
         with self._count_lock:
             self.executions += arr.shape[1]
         return out

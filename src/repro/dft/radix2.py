@@ -24,15 +24,6 @@ from .stockham import stockham_fft
 __all__ = ["fft_radix2", "ifft_radix2"]
 
 
-def _radix2_core(x: np.ndarray, sign: int) -> np.ndarray:
-    """Shared forward/inverse kernel over the last axis of *x*.
-
-    *x* must already be complex128 with power-of-two last dimension.
-    Returns a new array; the input is not modified.
-    """
-    return stockham_fft(x, sign)
-
-
 def fft_radix2(x: np.ndarray) -> np.ndarray:
     """Forward FFT over the last axis; length must be a power of two.
 

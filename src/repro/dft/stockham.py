@@ -72,7 +72,6 @@ from .twiddle import twiddles
 
 __all__ = [
     "stockham_fft",
-    "stockham_fft_t",
     "stockham_fft_tt",
     "stage_twiddles",
     "pass_schedule",
@@ -387,53 +386,22 @@ def _run_network(
     return out[:total]
 
 
-def _stockham_core(
-    x2: np.ndarray,
-    n: int,
-    sign: int,
-    variant: str = "radix2",
-    tile_elements: int | None = None,
-) -> np.ndarray:
-    """Butterfly network in the ``(K, m, nb)`` layout, batch on the fast axis.
-
-    Returns the transform in its natural internal layout — a contiguous
-    ``(n, nb)`` array whose column ``i`` is the transform of row ``i`` of
-    *x2*.  Callers that want the conventional ``(nb, n)`` result pay one
-    transpose copy (:func:`_stockham_batched`); callers that want the
-    transposed layout anyway (the SOI pipeline's segment stage, the
-    mixed-radix output interleave) use this directly and skip it.
-    """
-    nb = x2.shape[0]
-    ctype = _kernel_ctype(x2)
-    tmax = _TILE_MAX_ELEMENTS if tile_elements is None else tile_elements
-    tiles = _tiled_twiddles(n, sign, nb, ctype) if n * nb <= tmax else None
-    stages = stage_twiddles(n, sign, ctype)
-    schedule = pass_schedule(n, variant)
-    total = n * nb
-    out = np.empty(total, dtype=ctype)
-    hold, ping, tmp = _scratch_buffers(total, ctype)
-    np.copyto(hold.reshape(n, nb), x2.T)  # the layout transpose, into scratch
-    src = hold.reshape(n, 1, nb)
-    result = _run_network(
-        src, hold, [ping, out], out, tmp, n, nb, sign, schedule, stages, tiles
-    )
-    return result.reshape(n, nb)
-
-
-def _stockham_core_t(
+def _core(
     xt: np.ndarray,
     n: int,
     sign: int,
     variant: str = "radix2",
     tile_elements: int | None = None,
 ) -> np.ndarray:
-    """Core network for input already in the ``(n, nb)`` column layout.
+    """Butterfly network over the columns of *xt*; output ``(n, nb)``.
 
-    *xt* holds one transform per column — exactly the internal Stockham
-    orientation — so the entry transpose of :func:`_stockham_core`
-    disappears entirely: pass 0 reads *xt* in place (it is never
-    written) and the remaining passes rotate through scratch.
-    Output identical to ``_stockham_core(xt.T, ...)`` bit for bit.
+    Column ``i`` of the contiguous result is the transform of column
+    ``i`` of *xt* — the network's own ``(K, m, nb)`` orientation.  When
+    the batch axis is unit-stride (or there is a single column) pass 0
+    reads *xt* in place; it is never written.  Otherwise the columns are
+    first gathered into the pooled ``hold`` scratch so every pass
+    streams contiguous runs.  Which buffer pass 0 reads never changes a
+    value: the same ufunc calls see the same operands either way.
     """
     nb = xt.shape[1]
     ctype = _kernel_ctype(xt)
@@ -444,55 +412,28 @@ def _stockham_core_t(
     total = n * nb
     out = np.empty(total, dtype=ctype)
     hold, ping, tmp = _scratch_buffers(total, ctype)
-    src = xt[:, None, :]  # (n, 1, nb) view, works for strided column slices
+    if nb == 1 or xt.strides[1] == xt.itemsize:
+        src, srcbuf, free = xt[:, None, :], None, [ping, hold, out]
+    else:
+        np.copyto(hold.reshape(n, nb), xt)
+        src, srcbuf, free = hold.reshape(n, 1, nb), hold, [ping, out]
     result = _run_network(
-        src, None, [ping, hold, out], out, tmp, n, nb, sign, schedule, stages, tiles
+        src, srcbuf, free, out, tmp, n, nb, sign, schedule, stages, tiles
     )
     return result.reshape(n, nb)
 
 
-def _stockham_single(
-    x2: np.ndarray, n: int, sign: int, variant: str = "radix2"
-) -> np.ndarray:
-    """Single-transform path: one length-*n* vector, batch axis of one."""
-    return _stockham_core_t(x2.reshape(n, 1), n, sign, variant).reshape(n)
-
-
 # Cache blocking: one transform's ping-pong working set is ~2.5 * n * nb
 # complex values; past this element count it overflows L2 and every
-# butterfly pass streams from L3/DRAM.  Batch rows are independent, so
-# large batches are processed in groups small enough to keep the stage
-# passes cache-resident.  Grouping changes which SIMD lane computes each
-# element, never the operands — outputs are bit-identical.  The bound is
-# a tunable raced by the autotuner (0 disables grouping outright).
+# butterfly pass streams from L3/DRAM.  Batch columns are independent,
+# so large batches are processed in groups small enough to keep the
+# stage passes cache-resident.  Grouping changes which SIMD lane
+# computes each element, never the operands — outputs are bit-identical.
+# The bound is a tunable raced by the autotuner (0 disables grouping).
 _GROUP_MAX_ELEMENTS = 1 << 15
 
 
-def _group_bound(group_elements: int | None) -> int:
-    return _GROUP_MAX_ELEMENTS if group_elements is None else group_elements
-
-
-def _stockham_core_grouped(
-    x2: np.ndarray,
-    n: int,
-    sign: int,
-    variant: str = "radix2",
-    group_elements: int | None = None,
-    tile_elements: int | None = None,
-) -> np.ndarray:
-    """Core network, cache-blocked over the batch axis; output ``(n, nb)``."""
-    nb = x2.shape[0]
-    gmax = _group_bound(group_elements)
-    if gmax <= 0 or n * nb <= gmax or gmax // n == 0:
-        return _stockham_core(x2, n, sign, variant, tile_elements)
-    g = gmax // n
-    out = np.empty((n, nb), dtype=_kernel_ctype(x2))
-    for s in range(0, nb, g):
-        out[:, s : s + g] = _stockham_core(x2[s : s + g], n, sign, variant, tile_elements)
-    return out
-
-
-def _stockham_core_t_grouped(
+def _columns(
     xt: np.ndarray,
     n: int,
     sign: int,
@@ -500,32 +441,16 @@ def _stockham_core_t_grouped(
     group_elements: int | None = None,
     tile_elements: int | None = None,
 ) -> np.ndarray:
-    """Column-layout core, cache-blocked over the batch axis."""
+    """:func:`_core`, cache-blocked over the batch axis; output ``(n, nb)``."""
     nb = xt.shape[1]
-    gmax = _group_bound(group_elements)
+    gmax = _GROUP_MAX_ELEMENTS if group_elements is None else group_elements
     if gmax <= 0 or n * nb <= gmax or gmax // n == 0:
-        return _stockham_core_t(xt, n, sign, variant, tile_elements)
+        return _core(xt, n, sign, variant, tile_elements)
     g = gmax // n
     out = np.empty((n, nb), dtype=_kernel_ctype(xt))
     for s in range(0, nb, g):
-        out[:, s : s + g] = _stockham_core_t(
-            xt[:, s : s + g], n, sign, variant, tile_elements
-        )
+        out[:, s : s + g] = _core(xt[:, s : s + g], n, sign, variant, tile_elements)
     return out
-
-
-def _stockham_batched(
-    x2: np.ndarray,
-    n: int,
-    sign: int,
-    variant: str = "radix2",
-    group_elements: int | None = None,
-    tile_elements: int | None = None,
-) -> np.ndarray:
-    """Batched path: core network plus the transpose back to ``(nb, n)``."""
-    return np.ascontiguousarray(
-        _stockham_core_grouped(x2, n, sign, variant, group_elements, tile_elements).T
-    )
 
 
 def stockham_fft_tt(
@@ -538,47 +463,19 @@ def stockham_fft_tt(
 ) -> np.ndarray:
     """Transform each *column* of 2-D *xt*, returned as ``(n, nb)``.
 
-    The fully fused variant: input already column-major per transform
-    (the Stockham internal layout) and output in the same orientation —
-    neither the entry nor the exit transpose of :func:`stockham_fft` is
-    paid.  Values are bit-identical to ``stockham_fft(xt.T, sign).T``
-    for every (variant, grouping, tiling) choice.
+    The kernel's one entry: input and output both in its internal column
+    orientation, so neither an entry nor an exit transpose is paid when
+    the columns' batch axis is unit-stride.  Values are bit-identical to
+    ``stockham_fft(xt.T, sign).T`` for every (variant, grouping, tiling)
+    choice.
     """
     n, nb = xt.shape
     ctype = _kernel_ctype(np.asarray(xt))
     if n == 1:
         return np.array(xt, dtype=ctype, copy=True)
-    if nb == 1:
-        flat = np.ascontiguousarray(xt.reshape(n), dtype=ctype)
-        return _stockham_single(flat, n, sign, variant).reshape(n, 1)
-    return _stockham_core_t_grouped(
+    return _columns(
         np.asarray(xt, dtype=ctype), n, sign, variant, group_elements, tile_elements
     )
-
-
-def stockham_fft_t(
-    x2: np.ndarray,
-    sign: int,
-    *,
-    variant: str = "radix2",
-    group_elements: int | None = None,
-    tile_elements: int | None = None,
-) -> np.ndarray:
-    """Transform each row of 2-D *x2*, returned transposed as ``(n, nb)``.
-
-    Column ``i`` of the result is the transform of row ``i`` — the same
-    values :func:`stockham_fft` produces, minus the final transpose copy
-    (a pure data-movement saving, so consumers of either layout see
-    bit-identical numbers).
-    """
-    nb, n = x2.shape
-    ctype = _kernel_ctype(np.asarray(x2))
-    if n == 1:
-        return np.ascontiguousarray(x2.T, dtype=ctype)
-    x2 = np.ascontiguousarray(x2, dtype=ctype)
-    if nb == 1:
-        return _stockham_single(x2.reshape(n), n, sign, variant).reshape(n, 1)
-    return _stockham_core_grouped(x2, n, sign, variant, group_elements, tile_elements)
 
 
 def stockham_fft(
@@ -596,17 +493,15 @@ def stockham_fft(
     complex128 (the contract of the former bit-reversal core).
     ``sign=-1`` is the forward transform, ``sign=+1`` the unscaled
     inverse.  Returns a new array; the input is never modified.
+
+    The row wrapper around :func:`stockham_fft_tt`: the rows are handed
+    to the kernel as columns (a batch copies into scratch on entry) and
+    the result is transposed back.
     """
     n = x.shape[-1]
     if n == 1:
         return x.copy()
     batch = x.shape[:-1]
-    nb = 1
-    for dim in batch:
-        nb *= dim
-    x2 = np.ascontiguousarray(x).reshape(nb, n)
-    if nb == 1:
-        out = _stockham_single(x2.reshape(n), n, sign, variant)
-    else:
-        out = _stockham_batched(x2, n, sign, variant, group_elements, tile_elements)
-    return out.reshape(*batch, n)
+    x2 = np.ascontiguousarray(x).reshape(-1, n)
+    out = _columns(x2.T, n, sign, variant, group_elements, tile_elements)
+    return np.ascontiguousarray(out.T).reshape(*batch, n)

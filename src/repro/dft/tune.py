@@ -9,10 +9,10 @@ the machine: small transforms are ufunc-call-bound, large ones
 memory-bound, and the crossovers move with cache sizes.  Following
 AccFFT's install-time racing and FFTW's planner, this module
 
-1. **races** the candidate configurations per shape with the same
-   burst-interleaved min-of-reps methodology as :mod:`repro.bench.micro`
-   (one warm-up each, then interleaved timing bursts so drift hits all
-   candidates equally, keeping the minimum per candidate);
+1. **races** the candidate configurations per shape with :func:`race`,
+   the burst-interleaved min-of-reps loop :mod:`repro.bench` also times
+   with (one warm-up each, then interleaved timing bursts so drift hits
+   all candidates equally, keeping the minimum per candidate);
 2. **verifies** every candidate bitwise against the radix-2 default on
    a deterministic probe before it may win (defence in depth — the
    schedules are bitwise-identical by construction);
@@ -38,6 +38,7 @@ import json
 import socket
 import threading
 import time
+from typing import Callable
 
 import numpy as np
 
@@ -46,8 +47,7 @@ from .stockham import (
     KERNEL_VARIANTS,
     _TILE_MAX_ELEMENTS,
     _GROUP_MAX_ELEMENTS,
-    stockham_fft,
-    stockham_fft_t,
+    stockham_fft_tt,
 )
 
 __all__ = [
@@ -55,6 +55,7 @@ __all__ = [
     "HYSTERESIS",
     "batch_bucket",
     "candidate_configs",
+    "race",
     "race_shape",
     "tune_shape",
     "autotune",
@@ -154,17 +155,47 @@ def candidate_configs(n: int, nb: int) -> list[dict]:
     return out
 
 
-def _runner(x: np.ndarray, n: int, nb: int, cfg: dict):
-    """A zero-arg callable executing one transform batch under *cfg*."""
-    kwargs = {
-        "variant": cfg["variant"],
-        "group_elements": cfg["group_elements"],
-        "tile_elements": cfg["tile_elements"],
-    }
-    if nb == 1:
-        vec = x.reshape(n)
-        return lambda: stockham_fft(vec, -1, **kwargs)
-    return lambda: stockham_fft_t(x, -1, **kwargs)
+def _probe_input(n: int, nb: int, dtype=np.complex128) -> np.ndarray:
+    """The deterministic ``(nb, n)`` input every race of a shape runs on."""
+    rng = np.random.default_rng(0xB0 + 31 * n + nb)
+    return (
+        rng.standard_normal((nb, n)) + 1j * rng.standard_normal((nb, n))
+    ).astype(dtype)
+
+
+def _runner(x: np.ndarray, cfg: dict):
+    """A zero-arg callable transforming the rows of *x* under *cfg*.
+
+    The rows go in as the kernel's columns (a batch is copied into
+    scratch on entry) and the output stays in the ``(n, nb)`` layout.
+    """
+    return lambda: stockham_fft_tt(x.T, -1, **cfg)
+
+
+def race(
+    variants: dict[str, Callable[[], object]], reps: int, burst: int = 3
+) -> dict[str, float]:
+    """Best-of-*reps* wall-clock microseconds per variant, interleaved.
+
+    One untimed warm-up each (tables, scratch pools), then *reps*
+    round-robin turns over the variants.  Round-robin interleaving means
+    every variant samples the same load epochs, and taking the minimum
+    discards scheduler noise.  Each turn runs a short *burst* of
+    individually-timed calls so a variant is measured in its own steady
+    cache state rather than right after a competitor evicted it.
+    """
+    for fn in variants.values():
+        fn()
+    best = {k: float("inf") for k in variants}
+    for _ in range(reps):
+        for name, fn in variants.items():
+            for _ in range(burst):
+                t0 = time.perf_counter_ns()
+                fn()
+                dt = time.perf_counter_ns() - t0
+                if dt < best[name]:
+                    best[name] = dt
+    return {k: v / 1e3 for k, v in best.items()}
 
 
 def race_shape(
@@ -176,9 +207,8 @@ def race_shape(
 ) -> dict:
     """Race all candidates for one shape; returns the full measurement.
 
-    Burst-interleaved min-of-reps (the :mod:`repro.bench.micro`
-    methodology): every rep visits every candidate in turn with a short
-    burst of individually-timed runs, so clock drift and cache state
+    Timing is :func:`race` (the :mod:`repro.bench.micro` methodology):
+    burst-interleaved min-of-reps, so clock drift and cache state
     changes hit all candidates symmetrically; the minimum is the
     best-case per candidate.  Candidates are bitwise-verified against
     the default on the probe input before timing — a mismatching
@@ -191,31 +221,19 @@ def race_shape(
     if n < 2 or n & (n - 1):
         raise ValueError(f"autotuning is for power-of-two sizes, got n={n}")
     ct = np.dtype(dtype)
-    rng = np.random.default_rng(0xB0 + 31 * n + nb)
-    x = (rng.standard_normal((nb, n)) + 1j * rng.standard_normal((nb, n))).astype(ct)
+    x = _probe_input(n, nb, ct)
     configs = candidate_configs(n, nb)
-    reference = _runner(x, n, nb, configs[0])()
+    reference = _runner(x, configs[0])()
     kept: list[tuple[str, dict]] = []
     runners = {}
     for cfg in configs:
         label = _config_label(cfg)
-        fn = _runner(x, n, nb, cfg)
+        fn = _runner(x, cfg)
         if cfg is not configs[0] and not np.array_equal(fn(), reference):
             continue  # pragma: no cover - schedules are bitwise by construction
         kept.append((label, cfg))
         runners[label] = fn
-    best_ns = {label: float("inf") for label in runners}
-    for fn in runners.values():
-        fn()  # one untimed warm-up each (tables, scratch pools)
-    for _ in range(max(1, reps)):
-        for label, fn in runners.items():
-            for _ in range(max(1, burst)):
-                t0 = time.perf_counter_ns()
-                fn()
-                t1 = time.perf_counter_ns()
-                if t1 - t0 < best_ns[label]:
-                    best_ns[label] = t1 - t0
-    times_us = {label: ns / 1000.0 for label, ns in best_ns.items()}
+    times_us = race(runners, max(1, reps), max(1, burst))
     base_label = kept[0][0]
     baseline_us = times_us[base_label]
     win_label, win_cfg = kept[0]

@@ -96,7 +96,7 @@ class TestRegistry:
 
     def test_execute_layout_variants_covered(self, report):
         names = " ".join(r.name for r in report.rows)
-        for needle in ("execute_t", "execute_tt", "inverse", "rfft", "irfft",
+        for needle in ("execute_tt==execute", "execute_tt", "inverse", "rfft", "irfft",
                        "verify=True", "trace=", "float32"):
             assert needle in names, f"registry lost coverage of {needle}"
 

@@ -10,12 +10,12 @@ implementation, kept here verbatim as the oracle).
 import numpy as np
 import pytest
 
-from repro.dft import fft_radix2, ifft_radix2
+from repro.dft import fft_radix2, ifft_radix2, tune
+from repro.dft import stockham
 from repro.dft.stockham import (
     clear_stage_cache,
     stage_twiddles,
     stockham_fft,
-    stockham_fft_t,
     stockham_fft_tt,
 )
 from repro.dft.twiddle import twiddles
@@ -74,8 +74,9 @@ class TestBitIdentityToSeedKernel:
 class TestTransposedVariants:
     @pytest.mark.parametrize("shape", [(1, 8), (5, 1), (12, 256), (40, 512)])
     def test_fft_t_is_transposed_fft(self, shape, rng):
+        # Rows handed in as a transposed view: the copy-in branch.
         x2 = _complex(rng, shape)
-        out = stockham_fft_t(x2, -1)
+        out = stockham_fft_tt(x2.T, -1)
         np.testing.assert_array_equal(out, stockham_fft(x2, -1).T)
         assert out.flags.c_contiguous
 
@@ -100,9 +101,48 @@ class TestTransposedVariants:
         x2 = _complex(rng, (9, 32))  # 9 row transforms of length 32
         before_t, before_2 = xt.copy(), x2.copy()
         stockham_fft_tt(xt, -1)
-        stockham_fft_t(x2, -1)
+        stockham_fft_tt(x2.T, -1)
         np.testing.assert_array_equal(xt, before_t)
         np.testing.assert_array_equal(x2, before_2)
+
+
+class TestColumnLayouts:
+    """Copy-in and in-place reads of pass 0 produce identical bits."""
+
+    @pytest.mark.parametrize("n,nb", [(64, 1), (256, 7), (1024, 16), (4096, 12)])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_every_candidate_config_is_layout_independent(self, n, nb, dtype, rng):
+        rows = _complex(rng, (nb + 2, n)).astype(dtype)
+        cols = np.ascontiguousarray(rows.T)
+        before_rows, before_cols = rows.copy(), cols.copy()
+        for cfg in tune.candidate_configs(n, nb):
+            view = cols[:, 1 : nb + 1]  # column slice: batch axis unit-stride
+            strided = stockham_fft_tt(rows[1 : nb + 1].T, -1, **cfg)
+            contiguous = stockham_fft_tt(np.ascontiguousarray(view), -1, **cfg)
+            sliced = stockham_fft_tt(view, -1, **cfg)
+            np.testing.assert_array_equal(strided, contiguous)
+            np.testing.assert_array_equal(sliced, contiguous)
+        np.testing.assert_array_equal(rows, before_rows)
+        np.testing.assert_array_equal(cols, before_cols)
+
+
+class TestSingleVectorTunables:
+    def test_tile_elements_reaches_the_single_vector_path(self, monkeypatch, rng):
+        vec = _complex(rng, 256)
+        calls = []
+        real = stockham._tiled_twiddles
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(stockham, "_tiled_twiddles", counting)
+        clear_stage_cache()
+        untiled = stockham_fft(vec, -1, tile_elements=0)
+        assert calls == []
+        default = stockham_fft(vec, -1)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(untiled, default)
 
 
 class TestStageTables:

@@ -15,7 +15,7 @@ import pytest
 
 from repro.dft import plan_for, tune
 from repro.dft.cache import clear_plan_cache
-from repro.dft.stockham import stockham_fft, stockham_fft_t
+from repro.dft.stockham import stockham_fft, stockham_fft_tt
 
 
 @pytest.fixture(autouse=True)
@@ -85,7 +85,7 @@ class TestSchedulesBitwise:
         x = rng.standard_normal((16, 512)) + 1j * rng.standard_normal((16, 512))
         assert np.array_equal(stockham_fft(x, -1, **kwargs), stockham_fft(x, -1))
         assert np.array_equal(
-            stockham_fft_t(x, -1, **kwargs), stockham_fft_t(x, -1)
+            stockham_fft_tt(x.T, -1, **kwargs), stockham_fft_tt(x.T, -1)
         )
 
 
