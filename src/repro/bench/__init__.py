@@ -11,7 +11,21 @@ from .runner import FigureResult, measured_traffic, run_figure_sweep, trace_roll
 from .tables import bar_chart, format_series, format_table
 from .workloads import chirp_signal, multitone, noisy_tones, random_complex, random_real
 
+#: ``python -m repro`` bench sections: name -> (runner, default JSON path).
+#: Each runner takes ``quick=`` and ``reps=`` and returns a payload that
+#: carries its own ``gates`` and ``ok`` verdict.
+BENCHES = {
+    "bench-micro": (run_micro, "BENCH_PR3.json"),
+    "bench-overlap": (run_overlap_bench, "BENCH_PR5.json"),
+    "bench-resilience": (run_resilience_bench, "BENCH_PR6.json"),
+    "bench-serve": (run_serve_bench, "BENCH_PR7.json"),
+    "bench-a2a": (run_a2a_bench, "BENCH_PR8.json"),
+    "bench-scale": (run_scale_bench, "BENCH_PR9.json"),
+    "bench-tune": (run_tune, "BENCH_PR10.json"),
+}
+
 __all__ = [
+    "BENCHES",
     "A2A_BENCH_SCHEMA",
     "run_a2a_bench",
     "BENCH_SCHEMA",

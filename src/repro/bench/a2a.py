@@ -38,6 +38,7 @@ from ..parallel.soi_dist import soi_fft_distributed
 from ..simmpi import predicted_inter_node_messages
 from ..simmpi.nodes import FABRIC_HEADER_BYTES
 from ..simmpi.runtime import run_spmd
+from .runner import with_gates
 from .workloads import random_complex
 
 __all__ = ["run_a2a_bench", "A2A_BENCH_SCHEMA"]
@@ -190,7 +191,7 @@ def run_a2a_bench(quick: bool = False, reps: int | None = None) -> dict:
         first = [{k: v for k, v in s.items() if k != "headline"} for s in shapes]
         stable = stable and again == first
 
-    return {
+    payload = {
         "schema": A2A_BENCH_SCHEMA,
         "generated_by": "python -m repro bench-a2a",
         "config": {
@@ -230,3 +231,23 @@ def run_a2a_bench(quick: bool = False, reps: int | None = None) -> dict:
             ),
         },
     }
+    heads = [s["headline"] for s in shapes]
+    cells = [c[a] for s in shapes for c in s["cells"] for a in _ALGORITHMS]
+    return with_gates(payload, {
+        "two node shapes": len(shapes) == 2,
+        "cells bitwise_equal_to_pairwise": all(
+            c["bitwise_equal_to_pairwise"] for c in cells
+        ),
+        "cells messages_match_model": all(c["messages_match_model"] for c in cells),
+        "shapes hierarchical_wins": all(h["hierarchical_wins"] for h in heads),
+        "shapes inter_node_bytes_ratio > 1": all(
+            h["inter_node_bytes_ratio"] > 1.0 for h in heads
+        ),
+        "shapes modelled_time_ratio > 1": all(
+            h["modelled_time_ratio"] > 1.0 for h in heads
+        ),
+        "hierarchical_wins_all_shapes": (
+            payload["headline"]["hierarchical_wins_all_shapes"]
+        ),
+        "soi hierarchical_wins": payload["soi"]["hierarchical_wins"],
+    })

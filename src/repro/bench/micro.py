@@ -57,6 +57,7 @@ from ..dft.twiddle import clear_twiddle_cache, twiddles
 from ..parallel.soi_dist import soi_fft_distributed
 from ..simmpi.runtime import run_spmd
 from ..utils import bit_reverse_indices, factorize, is_power_of_two
+from .runner import with_gates
 from .workloads import random_complex
 
 __all__ = ["run_micro", "BENCH_SCHEMA"]
@@ -347,4 +348,12 @@ def run_micro(quick: bool = False, reps: int | None = None) -> dict:
             "plan_cache": plan_cache_info(),
         },
     }
-    return payload
+    cons = payload["consistency"]
+    return with_gates(payload, {
+        "kernels_bit_identical": cons["kernels_bit_identical"],
+        "dist_bitwise_equal_to_sequential": cons["dist_bitwise_equal_to_sequential"],
+        "engine_vs_baseline_max_rel < 4e-16": (
+            cons["engine_vs_baseline_max_rel"] < 4e-16
+        ),
+        "engine_hit_us > 0": payload["headline"]["engine_hit_us"] > 0,
+    })

@@ -52,6 +52,7 @@ from ..core.plan import SoiPlan
 from ..parallel.soi_dist import soi_fft_distributed
 from ..simmpi.runtime import run_spmd
 from ..trace import TraceCostModel, TraceRecorder, critical_path, inflight_profile
+from .runner import with_gates
 from .workloads import random_complex
 
 __all__ = ["run_overlap_bench", "OVERLAP_BENCH_SCHEMA", "LINK_BANDWIDTH", "LINK_LATENCY"]
@@ -218,7 +219,7 @@ def run_overlap_bench(quick: bool = False, reps: int | None = None) -> dict:
         blocks, plan, nranks, zl_iters, overlap=True, groups=groups, link=False
     )
 
-    return {
+    payload = {
         "schema": OVERLAP_BENCH_SCHEMA,
         "generated_by": "python -m repro bench-overlap",
         "config": {
@@ -263,3 +264,12 @@ def run_overlap_bench(quick: bool = False, reps: int | None = None) -> dict:
         "request_depth": _depth_profile(blocks, plan, nranks, groups),
         "virtual_replay": _trace_comparison(blocks, plan, nranks, groups),
     }
+    depth = payload["request_depth"]["alltoall"]
+    return with_gates(payload, {
+        "bitwise_equal": bitwise,
+        "blocking_us > 0": blocking_us > 0,
+        "alltoall max_outstanding > 1": depth["max_outstanding"] > 1,
+        "alltoall_stall_strictly_less": (
+            payload["virtual_replay"]["alltoall_stall_strictly_less"]
+        ),
+    })

@@ -52,6 +52,7 @@ from ..parallel.soi_dist import soi_fft_distributed
 from ..simmpi.errors import RankFailedError, SpmdError
 from ..simmpi.faults import FaultPlan
 from ..simmpi.runtime import run_spmd
+from .runner import with_gates
 
 __all__ = ["RESILIENCE_BENCH_SCHEMA", "SOAK_PHASES", "run_resilience_bench"]
 
@@ -296,7 +297,10 @@ def run_resilience_bench(quick: bool = False, reps: int | None = None) -> dict:
     # (N=2^14, P=8, 4 ranks) where the commit round's fixed cost is
     # amortised over real per-rank work; quick mode stays small.
     overhead_plan = plan if quick else SoiPlan(n=1 << 14, p=8)
-    return {
+    overhead = _fault_free_overhead(overhead_plan, 4, iters)
+    recovery = _recovery_latency(plan, 4, max(3, iters // 2))
+    soak = _chaos_soak(plan, scenarios)
+    payload = {
         "schema": RESILIENCE_BENCH_SCHEMA,
         "generated_by": "python -m repro bench-resilience",
         "config": {
@@ -316,7 +320,28 @@ def run_resilience_bench(quick: bool = False, reps: int | None = None) -> dict:
             "python": sys.version.split()[0],
             "numpy": np.__version__,
         },
-        "fault_free_overhead": _fault_free_overhead(overhead_plan, 4, iters),
-        "recovery": _recovery_latency(plan, 4, max(3, iters // 2)),
-        "chaos_soak": _chaos_soak(plan, scenarios),
+        "headline": {
+            "name": (
+                f"survivable SOI, N={plan.n} P={plan.p}: fault-free "
+                "resilience= overhead, kill@alltoall recovery, chaos soak"
+            ),
+            "overhead_fraction": overhead["overhead_fraction"],
+            "killed_run_us": recovery["killed_run_us"],
+            "soak_scenarios": soak["scenarios"],
+            "soak_recovered": soak["recovered"],
+            "soak_structured_failures": soak["structured_failures"],
+            "soak_hangs": soak["hangs"],
+        },
+        "fault_free_overhead": overhead,
+        "recovery": recovery,
+        "chaos_soak": soak,
     }
+    return with_gates(payload, {
+        "soak hangs == 0": soak["hangs"] == 0,
+        "soak recovered + structured_failures == scenarios": (
+            soak["recovered"] + soak["structured_failures"] == soak["scenarios"]
+        ),
+        "bitwise_recovered": recovery["bitwise_recovered"],
+        "recovery_bytes > 0": recovery["recovery_bytes"] > 0,
+        "recovery_flops > 0": recovery["recovery_flops"] > 0,
+    })

@@ -32,6 +32,7 @@ from ..core.windows import TauSigmaWindow
 from ..parallel.soi_dist import soi_fft_distributed
 from ..simmpi import NodeMap, predicted_inter_node_messages, run_spmd
 from ..simmpi.nodes import FABRIC_HEADER_BYTES
+from .runner import with_gates
 
 __all__ = ["run_scale_bench", "SCALE_BENCH_SCHEMA", "scale_plan"]
 
@@ -169,7 +170,7 @@ def run_scale_bench(quick: bool = False, reps: int | None = None) -> dict:
     anchor = _engine_anchor(nreps)
 
     largest = runs[-1]
-    return {
+    payload = {
         "schema": SCALE_BENCH_SCHEMA,
         "generated_by": "python -m repro bench-scale",
         "config": {
@@ -208,3 +209,15 @@ def run_scale_bench(quick: bool = False, reps: int | None = None) -> dict:
             "engines_bitwise_equal": anchor["bitwise_equal"],
         },
     }
+    traffic = [r["traffic"] for r in runs]
+    return with_gates(payload, {
+        "points messages_match_model": all(t["messages_match_model"] for t in traffic),
+        "points bytes_match_model": all(t["bytes_match_model"] for t in traffic),
+        "points outputs_stable": all(r["outputs_stable"] for r in runs),
+        "points virtual_time_stable": all(r["virtual_time_stable"] for r in runs),
+        "anchor bitwise_equal": anchor["bitwise_equal"],
+        "anchor stats_equal": anchor["stats_equal"],
+        "traffic_matches_model_all_points": (
+            payload["headline"]["traffic_matches_model_all_points"]
+        ),
+    })

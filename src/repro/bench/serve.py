@@ -51,6 +51,7 @@ import numpy as np
 
 from ..serve import ServeConfig, TransformServer
 from ..serve.errors import AdmissionRejected, DeadlineExceeded
+from .runner import with_gates
 
 __all__ = ["SERVE_BENCH_SCHEMA", "run_serve_bench"]
 
@@ -334,7 +335,7 @@ def run_serve_bench(quick: bool = False, reps: int | None = None) -> dict:
         ),
     ]
     headline = next(c for c in cases if c["headline"])
-    return {
+    payload = {
         "schema": SERVE_BENCH_SCHEMA,
         "generated_by": "python -m repro bench-serve",
         "config": {
@@ -363,3 +364,13 @@ def run_serve_bench(quick: bool = False, reps: int | None = None) -> dict:
         "cache": _cache_section(),
         "consistency": _consistency_section(quick),
     }
+    over, head, cache = payload["overload"], payload["headline"], payload["cache"]
+    return with_gates(payload, {
+        "overload hangs == 0": over["hangs"] == 0,
+        "overload all_resolved": over["all_resolved"],
+        "overload counters_match": over["counters_match"],
+        "cache misses_during_serving == 0": cache["misses_during_serving"] == 0,
+        "consistency bitwise_ok": payload["consistency"]["bitwise_ok"],
+        "batched_rps > 0": head["batched_rps"] > 0,
+        "serial_rps > 0": head["serial_rps"] > 0,
+    })

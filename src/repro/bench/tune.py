@@ -38,6 +38,7 @@ from ..dft.stockham import stockham_fft
 from ..parallel.real_dist import rfft_distributed
 from ..parallel.soi_dist import soi_fft_distributed
 from ..simmpi.runtime import run_spmd
+from .runner import with_gates
 
 __all__ = ["run_tune", "TUNE_BENCH_SCHEMA"]
 
@@ -222,4 +223,10 @@ def run_tune(quick: bool = False, reps: int | None = None) -> dict:
             "plan_cache": plan_cache_info(),
         },
     }
-    return payload
+    return with_gates(payload, {
+        "shapes ratio >= 1.0": all(r["ratio"] >= 1.0 for r in rows),
+        "shapes dispatch_bitwise": all(r["dispatch_bitwise"] for r in rows),
+        "complex64_ratio <= 0.55": wire["complex64_ratio"] <= 0.55,
+        "rfft_ratio <= 0.55": wire["rfft_ratio"] <= 0.55,
+        "wisdom load_status == ok": wisdom["load_status"] == "ok",
+    })

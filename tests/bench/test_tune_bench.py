@@ -25,6 +25,10 @@ class TestPayloadSchema:
     def test_json_serialisable(self, payload):
         assert json.loads(json.dumps(payload)) == payload
 
+    def test_gates_all_pass(self, payload):
+        assert payload["gates"]
+        assert payload["ok"] is True, payload["gates"]
+
     def test_top_level_sections(self, payload):
         assert set(payload) >= {
             "schema", "config", "headline", "shapes", "wire", "wisdom",

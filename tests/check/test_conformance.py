@@ -94,6 +94,16 @@ class TestRegistry:
         groups = {r.group for r in report.rows}
         assert {"dft", "nufft", "soi", "soi-edge", "dist"} <= groups
 
+    def test_group_row_floors(self, report):
+        """Per-group coverage floors: serve (coalesced == solo), a2a
+        (bruck/hierarchical == pairwise), des (DES == threads) and tune
+        (schedules bitwise, wire oracles)."""
+        groups = report.summary()["groups"]
+        floors = {"serve": 7, "a2a": 12, "des": 11, "tune": 14}
+        for group, floor in floors.items():
+            assert groups[group]["total"] >= floor, (group, groups.get(group))
+            assert groups[group]["passed"] == groups[group]["total"], group
+
     def test_execute_layout_variants_covered(self, report):
         names = " ".join(r.name for r in report.rows)
         for needle in ("execute_tt==execute", "execute_tt", "inverse", "rfft", "irfft",

@@ -187,3 +187,56 @@ class TestCheckSection:
             cli.SECTIONS, "check", lambda args: {"ok": False, "reason": "forced"}
         )
         assert main(["check"]) == 1
+
+
+def _bench_runner(**extra):
+    """A stand-in bench runner returning a minimal gated payload."""
+
+    def runner(quick=False, reps=None):
+        return {"headline": {"name": "stand-in", "speedup": 2.0}, **extra}
+
+    return runner
+
+
+class TestBenchSections:
+    """Every bench-* section runs through one code path fed by BENCHES."""
+
+    def test_sections_registered_from_bench_registry(self):
+        from repro.bench import BENCHES
+
+        assert [name for name in SECTIONS if name in BENCHES] == list(BENCHES)
+
+    def test_bench_out_with_two_bench_sections_is_rejected(self, tmp_path):
+        out = tmp_path / "bench.json"
+        with pytest.raises(SystemExit):
+            main(["bench-micro", "bench-tune", "--bench-quick", "--bench-out", str(out)])
+        assert not out.exists()
+
+    def test_failed_gate_exits_one_and_still_writes_json(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        from repro.bench import BENCHES
+
+        runner = _bench_runner(gates={"forced": False}, ok=False)
+        monkeypatch.setitem(BENCHES, "bench-micro", (runner, "unused.json"))
+        out = tmp_path / "bench.json"
+        assert main(["bench-micro", "--bench-out", str(out)]) == 1
+        text = capsys.readouterr().out
+        assert "gate: forced" in text and "FAIL" in text
+        assert "speedup" in text
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["ok"] is False and doc["gates"] == {"forced": False}
+
+    def test_unserialisable_payload_keeps_the_previous_file(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        from repro.bench import BENCHES
+
+        runner = _bench_runner(gates={"g": True}, ok=True, bad=object())
+        monkeypatch.setitem(BENCHES, "bench-micro", (runner, "unused.json"))
+        out = tmp_path / "bench.json"
+        out.write_text("previous\n", encoding="utf-8")
+        with pytest.raises(TypeError):
+            main(["bench-micro", "--bench-out", str(out)])
+        assert out.read_text(encoding="utf-8") == "previous\n"
+        assert list(tmp_path.iterdir()) == [out]
