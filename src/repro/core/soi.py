@@ -72,15 +72,32 @@ def _plan_fft(be: FftBackend, z: np.ndarray, plan: SoiPlan) -> np.ndarray:
     return be.fft(z).astype(np.complex64)
 
 
-def _plan_fft_tt(be: FftBackend, xt: np.ndarray, plan: SoiPlan) -> np.ndarray:
-    """Column-wise forward FFT (fused layout) at the plan's precision."""
+def _soi_front(be: FftBackend, plan: SoiPlan, winb: np.ndarray) -> np.ndarray:
+    """Front of the local chain: ``W x`` then the P-point FFTs, ``(P, rows)``.
+
+    Contracts the stencil windows *winb* ``(q, B, P)`` straight into the
+    segment-major ``(P, q*mu)`` layout and transforms its columns at the
+    plan's precision.  Every rank program (sequential, blocking,
+    pipelined, resilient and the buddy's recompute) runs this one
+    function, so they all execute the same floating-point operations.
+    """
+    z_t = plan.contract_windows_t(winb).reshape(plan.p, -1)
     if plan.dtype != np.complex64:
-        return backend_fft_tt(be, xt)
+        return backend_fft_tt(be, z_t)
     if be.name == "repro":
         from ..dft.cache import plan_for
 
-        return plan_for(xt.shape[0], precision="single").execute_tt(xt)
-    return backend_fft_tt(be, xt).astype(np.complex64)
+        return plan_for(plan.p, precision="single").execute_tt(z_t)
+    return backend_fft_tt(be, z_t).astype(np.complex64)
+
+
+def _soi_back(be: FftBackend, plan: SoiPlan, segments: np.ndarray) -> np.ndarray:
+    """Back of the local chain: M'-point FFTs, keep M bins, demodulate.
+
+    ``(..., M')`` segments in, ``(..., M)`` output bins out — the tail
+    ``W_hat^-1 P_proj F_M'`` shared by every rank program.
+    """
+    return _plan_fft(be, segments, plan)[..., : plan.m] * plan.demod_recip
 
 
 def extended_input(x: np.ndarray, plan: SoiPlan) -> np.ndarray:
@@ -146,19 +163,16 @@ def soi_fft(
     batch = arr.shape[:-1]
     if arr.ndim == 1:
         # Zero-transpose chain: the convolution emits z pre-transposed
-        # in the (P, M') segment layout, and the backend's fused fft_tt
-        # transforms its columns in place of layout — stage 1 through
-        # P_perm^{P,N'} never copies through a transpose (values
-        # bit-identical to the generic path).
+        # in the (P, M') segment layout, and the column FFTs keep it —
+        # stage 1 through P_perm^{P,N'} never copies through a transpose
+        # (values bit-identical to the generic path).
         winb = plan.window_view(arr, arr[: plan.b * plan.p], plan.q_chunks)
-        z_t = plan.contract_windows_t(winb).reshape(plan.p, plan.m_over)
-        segments = _plan_fft_tt(be, z_t, plan)      # (I_M' (x) F_P) + P_perm
+        segments = _soi_front(be, plan, winb)   # W x, I_M' (x) F_P, P_perm
     else:
         z = soi_convolve(arr, plan)                 # (..., M', P)
         v = _plan_fft(be, z, plan)                  # I_M' (x) F_P
         segments = np.ascontiguousarray(np.swapaxes(v, -1, -2))  # P_perm
-    yt = _plan_fft(be, segments, plan)              # I_P (x) F_M'
-    y = yt[..., : plan.m] * plan.demod_recip        # P_proj + W_hat^-1
+    y = _soi_back(be, plan, segments)   # I_P (x) F_M', P_proj, W_hat^-1
     return y.reshape(*batch, plan.n)
 
 
@@ -235,5 +249,4 @@ def soi_segment(
     modulated = (vec.reshape(plan.m, plan.p) * phase).reshape(plan.n)
     z = soi_convolve(modulated, plan)
     x_tilde = z.sum(axis=1)          # DFT bin 0 across the P-axis
-    yt = _plan_fft(be, x_tilde, plan)
-    return yt[: plan.m] * plan.demod_recip
+    return _soi_back(be, plan, x_tilde)

@@ -10,14 +10,14 @@ length and compute dtype that the ``"repro"`` backend, the one-shot
 :func:`repro.dft.fft` / :func:`repro.dft.ifft` helpers and therefore the
 whole SOI pipeline route through.
 
-Dtype soundness: every kernel computes in complex128, and
-:class:`FftPlan` normalises inputs to that compute dtype at its own
-boundary.  The cache key therefore carries the *compute* dtype a plan
-was built for — today every caller dtype (float32, complex64, ...) maps
-to the one complex128 compute dtype, so mixed-dtype callers share one
-plan *by construction* rather than by accidental collision, and a
-future reduced-precision compute path would get distinct cache entries
-instead of corrupting double-precision callers.
+Dtype soundness: :class:`FftPlan` normalises inputs to its compute
+dtype at its own boundary, and the cache key carries that *compute*
+dtype.  Every caller dtype (float32, complex64, ...) maps to complex128
+by default, so mixed-dtype callers share one double-precision plan *by
+construction* rather than by accidental collision.  Single-precision
+plans (``precision="single"``, complex64 compute) are the explicit
+opt-in and get distinct cache entries, so they never corrupt
+double-precision callers.
 
 Thread safety is a hard requirement, not hygiene: :func:`repro.simmpi.run_spmd`
 ranks are *threads*, so a distributed FFT has every rank hammering this
@@ -61,7 +61,8 @@ SHAPES_SCHEMA = "repro.dft.plan_cache_shapes/1"
 
 _DEFAULT_MAX_PLANS = 64
 
-#: The one dtype every kernel computes in (see FftPlan._as_compute).
+#: The default compute dtype; ``precision="single"`` selects complex64
+#: instead (see FftPlan._as_compute).
 _COMPUTE_DTYPE = np.dtype(np.complex128)
 
 #: Name of the lock guarding the cache, declared to the HB checker.
@@ -101,8 +102,8 @@ def plan_for(n: int, dtype: Any = None, precision: str | None = None) -> FftPlan
     """The shared :class:`FftPlan` for length *n* (built once, LRU-cached).
 
     *dtype* is the caller's input dtype; it is normalised to the compute
-    dtype the plan executes in (complex128 for every numeric input) and
-    that normalised dtype is part of the cache key.  Mixed float32 /
+    dtype the plan executes in (complex128 for every numeric input by
+    default) and that normalised dtype is part of the cache key.  Mixed float32 /
     complex64 / complex128 callers therefore share one plan soundly —
     the plan casts at its boundary, so a cache hit can never replay a
     kernel at the wrong precision.  ``precision="single"`` opts in to a

@@ -145,7 +145,9 @@ class FftPlan:
         """Transform *x* over its last axis; length must equal ``self.n``.
 
         Returns a new array; the input is never modified.  Any numeric
-        input dtype/layout is accepted and computed in complex128.
+        input dtype/layout is accepted and computed in the plan's
+        ``compute_dtype`` (complex128, or complex64 for single-precision
+        plans).
         """
         arr = np.asarray(x)
         if arr.shape[-1] != self.n:

@@ -35,14 +35,10 @@ from ..dft.backends import FftBackend
 from ..dft.twiddle import twiddles
 from ..simmpi.comm import Communicator
 from ..utils import require
+from ._tags import EDGE_TAG, MIRROR_TAG, NYQUIST_TAG
 from .soi_dist import soi_fft_distributed, soi_rank_layout
 
 __all__ = ["rfft_distributed"]
-
-# Tags of the untangle exchanges (clear of the SOI pipeline's 7/8).
-MIRROR_TAG = 11
-EDGE_TAG = 12
-NYQUIST_TAG = 13
 
 
 def rfft_distributed(
@@ -60,8 +56,15 @@ def rfft_distributed(
     ``numpy.fft.rfft`` of the concatenated input to the plan's SOI
     accuracy.  Collective; extra keyword arguments (``overlap=``,
     ``alltoall_algorithm=``, ...) pass through to
-    :func:`soi_fft_distributed`.
+    :func:`soi_fft_distributed`, except ``resilience=``: the untangle
+    exchange is not fault-tolerant, so a survived failure could not
+    complete the spectrum.
     """
+    require(
+        soi_kwargs.get("resilience") is None,
+        "rfft_distributed does not support resilience= "
+        "(the untangle exchange is not fault-tolerant)",
+    )
     nranks = comm.size
     layout = soi_rank_layout(plan, nranks)
     hblk = layout["block"]  # complex points per rank, = (N/2)/R

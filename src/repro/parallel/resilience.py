@@ -62,18 +62,15 @@ import threading
 import numpy as np
 
 from ..core.plan import SoiPlan
-from ..dft.backends import FftBackend, backend_fft_tt
+from ..core.soi import _soi_back, _soi_front
+from ..dft.backends import FftBackend
 from ..dft.flops import fft_flops, soi_convolution_flops
 from ..simmpi.comm import Communicator, _payload_bytes
 from ..simmpi.errors import RankFailedError, VerificationError
+from ._tags import RECOVER_OUT_TAG, RECOVER_TAG, REPLICA_TAG
 
 __all__ = ["SoiResilience", "REPLICA_TAG", "RECOVER_TAG", "RECOVER_OUT_TAG"]
 
-# Point-to-point tags of the resilient path (7 and 8 belong to the
-# pipelined overlap path).
-RECOVER_TAG = 9  # buddy -> survivor: reconstructed all-to-all blocks
-RECOVER_OUT_TAG = 10  # survivor -> buddy: blocks destined for the casualty
-REPLICA_TAG = 11  # input-block replication ring
 _A2A_TAG = -5  # same channel family as the blocking collective
 
 # Commit-agreement rounds before giving up (monotone failed sets
@@ -216,18 +213,18 @@ def _soi_fft_resilient(
     halo = (
         replica[: plan.halo]
         if replica is not None
-        else np.zeros(plan.halo, dtype=np.complex128)
+        else np.zeros(plan.halo, dtype=plan.dtype)
     )
 
-    # -- 2./3. convolution + small FFTs: identical local math. -----------
+    # -- 2./3. convolution + small FFTs: the shared front stage. ---------
+    # Both layers run on entry to ``convolve``; ``fft-p`` stays a phase
+    # (and kill boundary) of its own.
     with comm.phase("convolve"):
-        winb = plan.window_view(vec, halo, q_local)
-        z_t = plan.contract_windows_t(winb).reshape(plan.p, rows_pr)
+        v_t = _soi_front(be, plan, plan.window_view(vec, halo, q_local))
         comm.trace_compute(
             "convolve", soi_convolution_flops(rows_pr * plan.p, plan.b), kind="conv"
         )
     with comm.phase("fft-p"):
-        v_t = backend_fft_tt(be, z_t)
         comm.trace_compute("fft-p", rows_pr * fft_flops(plan.p))
 
     # -- 4. tolerant all-to-all with checksum columns. --------------------
@@ -266,11 +263,10 @@ def _soi_fft_resilient(
                     pieces[src] = piece
 
     # -- 5. fft-m: fault-free fast path (bit-identical output). ----------
-    yt: np.ndarray | None = None
+    y_local: np.ndarray | None = None
     with comm.phase("fft-m"):
         if not missing:
-            segs = np.concatenate(pieces, axis=1)
-            yt = be.fft(segs)
+            y_local = _soi_back(be, plan, np.concatenate(pieces, axis=1)).reshape(block)
             comm.trace_compute("fft-m", s_per * fft_flops(plan.m_over))
 
     # -- 6. commit: survivors agree on the failed set. --------------------
@@ -285,12 +281,10 @@ def _soi_fft_resilient(
     # into the agreement rounds rather than hanging.  Phase entry here
     # is also the ``kill(..., phase="commit")`` boundary: a victim dies
     # before reaching the barrier, so survivors always detect it.  The
-    # demodulation runs first — its result is identical whether or not
-    # the commit later triggers a recovery with an empty missing set.
-    y_local: np.ndarray | None = None
+    # output block is final — identical whether or not the commit later
+    # triggers a recovery with an empty missing set.
     fast_ok = False
     if not missing:
-        y_local = (yt[:, : plan.m] * plan.demod_recip[None, :]).reshape(block)
         try:
             with comm.phase("commit"):
                 comm.barrier()
@@ -313,13 +307,9 @@ def _soi_fft_resilient(
             vec, replica, send_chk, blocks, pieces,
         )
         if missing:
-            segs = np.concatenate(pieces, axis=1)
-            yt = be.fft(segs)
+            y_local = _soi_back(be, plan, np.concatenate(pieces, axis=1)).reshape(block)
             comm.stats.record_recovery("recover", flops=s_per * fft_flops(plan.m_over))
             _trace_recovery(comm, "redo-fft-m", flops=s_per * fft_flops(plan.m_over))
-
-    if y_local is None:
-        y_local = (yt[:, : plan.m] * plan.demod_recip[None, :]).reshape(block)
     return y_local
 
 
@@ -431,8 +421,7 @@ def _recover(
             # small FFTs — the same FP schedule the dead rank would have
             # run, so the reconstruction is bit-exact.
             winb = plan.window_view(replica, dead_halo, q_local)
-            z_t = plan.contract_windows_t(winb).reshape(plan.p, rows_pr)
-            vt_dead = backend_fft_tt(be, z_t)
+            vt_dead = _soi_front(be, plan, winb)
             recompute_flops = (
                 soi_convolution_flops(rows_pr * plan.p, plan.b)
                 + rows_pr * fft_flops(plan.p)
@@ -465,14 +454,12 @@ def _recover(
                     "recover", nbytes=got.nbytes + gchk.nbytes
                 )
                 dead_pieces[src] = _checked(got, gchk, src, rank)
-            segs = np.concatenate(dead_pieces, axis=1)
-            yt = be.fft(segs)
+            y_dead = _soi_back(be, plan, np.concatenate(dead_pieces, axis=1))
             comm.stats.record_recovery("recover", flops=s_per * fft_flops(plan.m_over))
             _trace_recovery(
                 comm, f"rebuild rank {dead} output", flops=s_per * fft_flops(plan.m_over)
             )
-            y_dead = (yt[:, : plan.m] * plan.demod_recip[None, :]).reshape(block)
-            res.record_block(dead, rank, y_dead)
+            res.record_block(dead, rank, y_dead.reshape(block))
         else:
             if rank == halo_src:
                 comm.send(vec[: plan.halo], buddy, tag=RECOVER_TAG)

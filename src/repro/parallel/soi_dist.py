@@ -31,12 +31,13 @@ import numpy as np
 
 from ..core.accuracy import error_budget
 from ..core.plan import SoiPlan
-from ..core.soi import _plan_fft, _plan_fft_tt
+from ..core.soi import _soi_back, _soi_front
 from ..dft.backends import FftBackend, get_backend
 from ..dft.flops import fft_flops, soi_convolution_flops
 from ..simmpi.comm import Communicator, waitall, waitany
 from ..trace.spans import TraceRecorder
 from ..utils import require
+from ._tags import HALO_TAG, PIECE_TAG
 from .resilience import SoiResilience, _soi_fft_resilient
 from .selfcheck import (
     DEFAULT_VERIFY_ROUNDS,
@@ -55,11 +56,6 @@ __all__ = [
     "soi_rank_layout",
     "soi_verify_tolerance",
 ]
-
-# Tags of the pipelined path's nonblocking exchanges (positive: user
-# range; the collectives use negative tags).
-PIECE_TAG = 7
-HALO_TAG = 8
 
 
 def soi_verify_tolerance(plan: SoiPlan) -> float:
@@ -214,76 +210,62 @@ def soi_fft_distributed(
         if comm.size > 1:
             return _soi_fft_resilient(comm, vec, plan, be, layout, resilience)
     if overlap and comm.size > 1:
-        return _soi_fft_pipelined(
+        segs = _soi_fft_pipelined(
             comm, vec, plan, be, layout, verify, verify_rounds, overlap_groups
         )
+    else:
+        # -- 1. halo: the forward-neighbour samples the last chunks read.
+        # The halo send is zero-copy (the substrate passes references and
+        # receivers only read): ``vec`` is private to this rank and never
+        # mutated, so no defensive copy is needed.
+        with comm.phase("halo"):
+            left = (comm.rank - 1) % comm.size
+            right = (comm.rank + 1) % comm.size
+            if comm.size == 1:
+                halo = vec[: plan.halo]
+            elif verify:
+                halo = verified_sendrecv(
+                    comm, vec[: plan.halo], dest=left, source=right,
+                    rounds=verify_rounds,
+                )
+            else:
+                halo = comm.sendrecv(vec[: plan.halo], dest=left, source=right)
 
-    # -- 1. halo: the forward-neighbour samples the last chunks read. ----
-    # The halo send is zero-copy (the substrate passes references and
-    # receivers only read): ``vec`` is private to this rank and never
-    # mutated, so no defensive copy is needed.
-    with comm.phase("halo"):
-        left = (comm.rank - 1) % comm.size
-        right = (comm.rank + 1) % comm.size
-        if comm.size == 1:
-            halo = vec[: plan.halo]
-        elif verify:
-            halo = verified_sendrecv(
-                comm, vec[: plan.halo], dest=left, source=right,
-                rounds=verify_rounds,
-            )
-        else:
-            halo = comm.sendrecv(vec[: plan.halo], dest=left, source=right)
+        # -- 2./3. this rank's block-rows of z = W x, then (I_M' (x) F_P).
+        # Same per-thread extended-input workspace, contraction and column
+        # FFTs as the sequential pipeline (bit-for-bit equality).  The
+        # result is segment-major, (P, rows): exactly the orientation the
+        # all-to-all delivers, so packing pays no copy.
+        winb = plan.window_view(vec, halo, layout["chunks_per_rank"])
+        v_t = _soi_front(be, plan, winb)
+        _trace_front(comm, plan, layout["rows_per_rank"])
 
-    # -- 2. convolution: this rank's block-rows of z = W x. --------------
-    q_local = layout["chunks_per_rank"]
-    # Same per-thread extended-input workspace and cached contraction
-    # path as the sequential pipeline, so both perform literally the
-    # same einsum on identically-strided windows (bit-for-bit equality).
-    winb = plan.window_view(vec, halo, q_local)
-    z_t = plan.contract_windows_t(winb).reshape(plan.p, layout["rows_per_rank"])
-    comm.trace_compute(
-        "convolve",
-        soi_convolution_flops(layout["rows_per_rank"] * plan.p, plan.b),
-        kind="conv",
-    )
-
-    # -- 3. small local FFTs: (I_M' (x) F_P) on local rows. ---------------
-    # The convolution already emitted z pre-transposed, (P, rows), and
-    # the fused fft_tt keeps that layout: exactly the segment-major
-    # orientation the all-to-all delivers, so neither the transform nor
-    # packing pays a copy (values bit-identical to fft + transposes).
-    v_t = _plan_fft_tt(be, z_t, plan)
-    comm.trace_compute("fft-p", layout["rows_per_rank"] * fft_flops(plan.p))
-
-    # -- 4. THE all-to-all: deliver segment rows to their owners. ---------
-    with comm.phase("alltoall"):
-        # Zero-copy packing: rank d owns segments [d*S, (d+1)*S), which
-        # are contiguous row blocks of the transposed transform — one
-        # reshape yields every destination slice as a view.
-        sendbuf3 = v_t.reshape(comm.size, s_per, -1)
-        if verify:
-            pieces = verified_alltoall(
-                comm, list(sendbuf3), rounds=verify_rounds,
-                algorithm=alltoall_algorithm,
-            )
-            mat = np.stack(pieces)
-        else:
-            # Matrix form: the packed sendbuf is already one contiguous
-            # (P, S, rows) array, so the exchange moves whole-node row
-            # batches instead of P² block objects (same bytes, same
-            # messages, bitwise-identical rows — see exchange_matrix).
-            mat = comm.alltoall_matrix(sendbuf3, algorithm=alltoall_algorithm)
-    # mat[src] is (S, rows_per_rank): my segments, src's row range.
+        # -- 4. THE all-to-all: deliver segment rows to their owners. -----
+        with comm.phase("alltoall"):
+            # Zero-copy packing: rank d owns segments [d*S, (d+1)*S), which
+            # are contiguous row blocks of the transposed transform — one
+            # reshape yields every destination slice as a view.
+            sendbuf3 = v_t.reshape(comm.size, s_per, -1)
+            if verify:
+                pieces = verified_alltoall(
+                    comm, list(sendbuf3), rounds=verify_rounds,
+                    algorithm=alltoall_algorithm,
+                )
+                mat = np.stack(pieces)
+            else:
+                # Matrix form: the packed sendbuf is already one contiguous
+                # (P, S, rows) array, so the exchange moves whole-node row
+                # batches instead of P² block objects (same bytes, same
+                # messages, bitwise-identical rows — see exchange_matrix).
+                mat = comm.alltoall_matrix(sendbuf3, algorithm=alltoall_algorithm)
+        # mat[src] is (S, rows_per_rank): my segments, src's row range.  The
+        # returned (S, M') segments keep rows in src order — identical
+        # element order to np.concatenate(list(mat), axis=1).
+        segs = np.ascontiguousarray(mat.transpose(1, 0, 2)).reshape(s_per, -1)
 
     # -- 5. segment FFTs + demodulation (in-order output). ----------------
-    # (S, M'), rows in src order — identical element order to
-    # np.concatenate(list(mat), axis=1).
-    segs = np.ascontiguousarray(mat.transpose(1, 0, 2)).reshape(s_per, -1)
-    yt = _plan_fft(be, segs, plan)
+    y_local = _soi_back(be, plan, segs).reshape(block)
     comm.trace_compute("fft-m", s_per * fft_flops(plan.m_over))
-    y_local = yt[:, : plan.m] * plan.demod_recip[None, :]
-    y_local = y_local.reshape(block)
     if verify:
         parseval_check(
             comm,
@@ -294,6 +276,14 @@ def soi_fft_distributed(
             "soi_fft_distributed",
         )
     return y_local
+
+
+def _trace_front(comm: Communicator, plan: SoiPlan, rows: int) -> None:
+    """Charge the front stage's two layers (``convolve``, ``fft-p``)."""
+    comm.trace_compute(
+        "convolve", soi_convolution_flops(rows * plan.p, plan.b), kind="conv"
+    )
+    comm.trace_compute("fft-p", rows * fft_flops(plan.p))
 
 
 def _soi_fft_pipelined(
@@ -322,6 +312,7 @@ def _soi_fft_pipelined(
     A two-slot send-buffer pool bounds outstanding send memory: posting
     group g first completes group g-2's sends (payloads travel
     zero-copy, so a buffer must stay untouched until consumed).
+    Returns the ``(S, M')`` segments; the caller runs the tail.
     """
     block = layout["block"]
     s_per = layout["segments_per_rank"]
@@ -329,7 +320,7 @@ def _soi_fft_pipelined(
     rows_pr = layout["rows_per_rank"]
     left = (comm.rank - 1) % comm.size
     right = (comm.rank + 1) % comm.size
-    spans, _ = soi_overlap_spans(plan, block, groups)
+    spans, halo_free = soi_overlap_spans(plan, block, groups)
 
     with comm.phase("halo"):
         halo_send = comm.isend(vec[: plan.halo], left, tag=HALO_TAG)
@@ -358,28 +349,25 @@ def _soi_fft_pipelined(
     pool: list[tuple | None] = [None, None]
     group_pieces: list[list] | None = [[] for _ in range(comm.size)] if verify else None
 
+    def land_halo() -> np.ndarray:
+        # Same program point on every rank (spans depend only on the
+        # layout), so the verify confirm stays collectively ordered.
+        with comm.phase("halo"):
+            got = halo_req.wait()
+            if verify:
+                got = confirm_sendrecv(
+                    comm, vec[: plan.halo], got, dest=left, source=right,
+                    rounds=verify_rounds,
+                )
+        return got
+
     for g, (q0, q1) in enumerate(spans):
-        if halo is None and (q1 - 1) * plan.nu * plan.p + plan.b * plan.p > block:
-            # This group's last window reads past the local block: the
-            # halo must have landed.  Same program point on every rank
-            # (spans depend only on the layout), so the verify confirm
-            # stays collectively ordered.
-            with comm.phase("halo"):
-                halo = halo_req.wait()
-                if verify:
-                    halo = confirm_sendrecv(
-                        comm, vec[: plan.halo], halo, dest=left, source=right,
-                        rounds=verify_rounds,
-                    )
+        if halo is None and q1 > halo_free:
+            # This group's last window reads past the local block.
+            halo = land_halo()
             winb = plan.window_view(vec, halo, q_local)
-        zg = plan.contract_windows_t(winb[q0:q1]).reshape(plan.p, -1)
-        comm.trace_compute(
-            "convolve",
-            soi_convolution_flops((q1 - q0) * plan.mu * plan.p, plan.b),
-            kind="conv",
-        )
-        vg = _plan_fft_tt(be, zg, plan).reshape(comm.size, s_per, -1)
-        comm.trace_compute("fft-p", (q1 - q0) * plan.mu * fft_flops(plan.p))
+        vg = _soi_front(be, plan, winb[q0:q1]).reshape(comm.size, s_per, -1)
+        _trace_front(comm, plan, (q1 - q0) * plan.mu)
         with comm.phase("alltoall"):
             slot = g % 2
             if pool[slot] is not None:
@@ -399,13 +387,7 @@ def _soi_fft_pipelined(
                     group_pieces[dst].append(vg[dst])
 
     if halo is None:  # every window was halo-free: collect the halo anyway
-        with comm.phase("halo"):
-            halo = halo_req.wait()
-            if verify:
-                halo = confirm_sendrecv(
-                    comm, vec[: plan.halo], halo, dest=left, source=right,
-                    rounds=verify_rounds,
-                )
+        land_halo()
 
     with comm.phase("alltoall"):
         outstanding = len(recv_reqs)
@@ -433,21 +415,7 @@ def _soi_fft_pipelined(
         for s in range(comm.size):
             if s != comm.rank and fixed[s] is not pieces[s]:
                 segs[:, s * rows_pr : (s + 1) * rows_pr] = fixed[s]
-
-    yt = _plan_fft(be, segs, plan)
-    comm.trace_compute("fft-m", s_per * fft_flops(plan.m_over))
-    y_local = yt[:, : plan.m] * plan.demod_recip[None, :]
-    y_local = y_local.reshape(block)
-    if verify:
-        parseval_check(
-            comm,
-            float(np.sum(np.abs(vec) ** 2)),
-            y_local,
-            plan.n,
-            soi_verify_tolerance(plan),
-            "soi_fft_distributed",
-        )
-    return y_local
+    return segs
 
 
 def soi_ifft_distributed(

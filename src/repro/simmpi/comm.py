@@ -1194,27 +1194,43 @@ class Communicator:
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Send *obj* to rank *dest* (non-blocking: channels are unbounded)."""
+        self._post(obj, dest, tag, nonblocking=False)
+
+    def _post(
+        self, obj: Any, dest: int, tag: int, nonblocking: bool
+    ) -> SendRequest | None:
+        """Put one message on the wire: the shared body of send and isend.
+
+        Hook order: scheduler, trace record (event ``send`` or
+        ``isend``), fault hook, then — for *nonblocking* — the
+        :class:`SendRequest` (whose construction charges the post), and
+        the raw ordinal or transport envelope.  Returns the request, or
+        ``None`` for a blocking send.
+        """
         self._check_peer(dest, "destination")
         self.world.check_abort()
         world = self.world
         if world.scheduler is not None:
             world.scheduler.on_send(world, self.rank, dest, tag)
-        if world.tracer is not None:
-            world.tracer.record_send(
-                self._phase, self.rank, dest, tag, _payload_bytes(obj)
-            )
+        tracer = world.tracer
+        if tracer is not None:
+            record = tracer.record_isend if nonblocking else tracer.record_send
+            record(self._phase, self.rank, dest, tag, _payload_bytes(obj))
         payload = obj
         if world.fault_hook is not None:
             payload = world.fault_hook(self.rank, dest, tag, payload)
+        req = SendRequest(self, self._phase, dest, tag) if nonblocking else None
         if world.transport is None:
             # Keep logical-send ordinals aligned with channel consumption
             # even for blocking sends: isend completion counts pops.
-            world.next_raw_ordinal((self.rank, dest, tag))
+            ordinal = world.next_raw_ordinal((self.rank, dest, tag))
+            if req is not None:
+                req._ordinal = ordinal
             index = 0
             if world.faults is not None:
                 index = world.faults.next_index(self._phase, self.rank, dest)
             world.wire_send(self._phase, self.rank, dest, tag, payload, index=index)
-            return
+            return req
         seq = world.next_send_seq(self.rank, dest, tag)
         crc = payload_checksum(payload) if world.transport.checksums else None
         env = _Envelope(
@@ -1226,6 +1242,9 @@ class Communicator:
         )
         world.register_unacked(self.rank, dest, tag, env)
         world.wire_send(self._phase, self.rank, dest, tag, env, index=seq)
+        if req is not None:
+            req._seq = seq
+        return req
 
     def recv(self, source: int, tag: int = 0, timeout: float | None = None) -> Any:
         """Blocking receive from rank *source*.
@@ -1358,39 +1377,7 @@ class Communicator:
         signal.  Payloads travel zero-copy, so do not mutate *obj* until
         the request completes.
         """
-        self._check_peer(dest, "destination")
-        self.world.check_abort()
-        world = self.world
-        if world.scheduler is not None:
-            world.scheduler.on_send(world, self.rank, dest, tag)
-        if world.tracer is not None:
-            world.tracer.record_isend(
-                self._phase, self.rank, dest, tag, _payload_bytes(obj)
-            )
-        payload = obj
-        if world.fault_hook is not None:
-            payload = world.fault_hook(self.rank, dest, tag, payload)
-        req = SendRequest(self, self._phase, dest, tag)
-        if world.transport is None:
-            req._ordinal = world.next_raw_ordinal((self.rank, dest, tag))
-            index = 0
-            if world.faults is not None:
-                index = world.faults.next_index(self._phase, self.rank, dest)
-            world.wire_send(self._phase, self.rank, dest, tag, payload, index=index)
-            return req
-        seq = world.next_send_seq(self.rank, dest, tag)
-        crc = payload_checksum(payload) if world.transport.checksums else None
-        env = _Envelope(
-            seq=seq,
-            phase=self._phase,
-            payload=payload,
-            crc=crc,
-            nbytes=_payload_bytes(payload),
-        )
-        world.register_unacked(self.rank, dest, tag, env)
-        world.wire_send(self._phase, self.rank, dest, tag, env, index=seq)
-        req._seq = seq
-        return req
+        return self._post(obj, dest, tag, nonblocking=True)
 
     def irecv(self, source: int, tag: int = 0) -> RecvRequest:
         """Nonblocking receive: joins the channel's posted-request FIFO."""
@@ -1519,32 +1506,7 @@ class Communicator:
         require ``chunks=1``.  One all-to-all round is charged, and the
         byte totals equal the blocking collective's exactly.
         """
-        if len(objs) != self.size:
-            raise ValueError(f"ialltoall needs exactly {self.size} send items")
-        if chunks < 1:
-            raise ValueError(f"chunks must be >= 1, got {chunks}")
-        if self.rank == 0:
-            self.stats.record_alltoall(self._phase)
-        out: list[Any] = [None] * self.size
-        self.stats.record_message(
-            self._phase,
-            self.world_rank,
-            self.world_rank,
-            _payload_bytes(objs[self.rank]),
-        )
-        out[self.rank] = objs[self.rank]
-        sends: list[SendRequest] = []
-        for dst in range(self.size):
-            if dst == self.rank:
-                continue
-            for part in self._split_chunks(objs[dst], chunks):
-                sends.append(self.isend(part, dst, tag=-7))
-        recvs = {
-            src: [self.irecv(src, tag=-7) for _ in range(chunks)]
-            for src in range(self.size)
-            if src != self.rank
-        }
-        return _CollectiveRequest(self, sends, recvs, out, chunks)
+        return self._ipairwise(objs, None, chunks, -7, "ialltoall", sparse=False)
 
     def ialltoallv(
         self,
@@ -1558,17 +1520,31 @@ class Communicator:
         ranks to receive from (default: all).  Sender and receiver must
         agree on *chunks* for each exchanged pair, as in MPI counts.
         """
+        return self._ipairwise(objs, sources, chunks, -8, "ialltoallv", sparse=True)
+
+    def _ipairwise(
+        self,
+        objs: Sequence[Any],
+        sources: Sequence[int] | None,
+        chunks: int,
+        tag: int,
+        name: str,
+        sparse: bool,
+    ) -> _CollectiveRequest:
+        """Post one nonblocking pairwise exchange (ialltoall/ialltoallv).
+
+        With *sparse* (the ``v`` form) ``objs[d] is None`` means "no
+        message to d"; otherwise every item is sent, ``None`` included.
+        """
         if len(objs) != self.size:
-            raise ValueError(f"ialltoallv needs exactly {self.size} send items")
+            raise ValueError(f"{name} needs exactly {self.size} send items")
         if chunks < 1:
             raise ValueError(f"chunks must be >= 1, got {chunks}")
         if self.rank == 0:
             self.stats.record_alltoall(self._phase)
-        src_list = list(range(self.size)) if sources is None else list(sources)
-        for src in src_list:
-            self._check_peer(src, "source")
+        src_list = self._pairwise_sources(sources)
         out: list[Any] = [None] * self.size
-        if objs[self.rank] is not None:
+        if not (sparse and objs[self.rank] is None):
             self.stats.record_message(
                 self._phase,
                 self.world_rank,
@@ -1578,16 +1554,23 @@ class Communicator:
             out[self.rank] = objs[self.rank]
         sends: list[SendRequest] = []
         for dst in range(self.size):
-            if dst == self.rank or objs[dst] is None:
+            if dst == self.rank or (sparse and objs[dst] is None):
                 continue
             for part in self._split_chunks(objs[dst], chunks):
-                sends.append(self.isend(part, dst, tag=-8))
+                sends.append(self.isend(part, dst, tag=tag))
         recvs = {
-            src: [self.irecv(src, tag=-8) for _ in range(chunks)]
+            src: [self.irecv(src, tag=tag) for _ in range(chunks)]
             for src in src_list
             if src != self.rank
         }
         return _CollectiveRequest(self, sends, recvs, out, chunks)
+
+    def _pairwise_sources(self, sources: Sequence[int] | None) -> list[int]:
+        """Validated receive list of a pairwise exchange (default: all)."""
+        src_list = list(range(self.size)) if sources is None else list(sources)
+        for src in src_list:
+            self._check_peer(src, "source")
+        return src_list
 
     @staticmethod
     def _split_chunks(obj: Any, chunks: int) -> list:
@@ -1714,27 +1697,7 @@ class Communicator:
             from .alltoall import exchange
 
             return exchange(self, objs, algo, timeout)
-        if self.rank == 0:
-            self.stats.record_alltoall(self._phase)
-        with self._traced_collective("alltoall"):
-            for dst in range(self.size):
-                if dst != self.rank:
-                    self.send(objs[dst], dst, tag=-5)
-            out = [None] * self.size
-            # Self-delivery is a local copy: accounted as a (rank, rank) message.
-            self.stats.record_message(
-                self._phase,
-                self.world_rank,
-                self.world_rank,
-                _payload_bytes(objs[self.rank]),
-            )
-            out[self.rank] = objs[self.rank]
-            for src in range(self.size):
-                if src != self.rank:
-                    out[src] = self._collective_recv(
-                        src, tag=-5, timeout=timeout, what="alltoall"
-                    )
-            return out
+        return self._pairwise(objs, None, timeout, -5, "alltoall", sparse=False)
 
     def alltoall_matrix(
         self,
@@ -1811,28 +1774,43 @@ class Communicator:
         """
         if len(objs) != self.size:
             raise ValueError(f"alltoallv needs exactly {self.size} send items")
+        return self._pairwise(objs, sources, timeout, -6, "alltoallv", sparse=True)
+
+    def _pairwise(
+        self,
+        objs: Sequence[Any],
+        sources: Sequence[int] | None,
+        timeout: float | None,
+        tag: int,
+        name: str,
+        sparse: bool,
+    ) -> list[Any]:
+        """The pairwise exchange loop of :meth:`alltoall` and :meth:`alltoallv`.
+
+        With *sparse* (the ``v`` form) ``objs[d] is None`` sends no
+        message to d; otherwise every item is sent, ``None`` included.
+        """
         if self.rank == 0:
             self.stats.record_alltoall(self._phase)
-        src_list = list(range(self.size)) if sources is None else list(sources)
-        for src in src_list:
-            self._check_peer(src, "source")
-        with self._traced_collective("alltoallv"):
+        src_list = self._pairwise_sources(sources)
+        with self._traced_collective(name):
             for dst in range(self.size):
-                if dst != self.rank and objs[dst] is not None:
-                    self.send(objs[dst], dst, tag=-6)
+                if dst != self.rank and not (sparse and objs[dst] is None):
+                    self.send(objs[dst], dst, tag=tag)
             out = [None] * self.size
-            if objs[self.rank] is not None:
+            if not (sparse and objs[self.rank] is None):
+                # Self-delivery is a local copy: accounted as a (rank, rank) message.
                 self.stats.record_message(
                     self._phase,
-                self.world_rank,
-                self.world_rank,
-                _payload_bytes(objs[self.rank]),
+                    self.world_rank,
+                    self.world_rank,
+                    _payload_bytes(objs[self.rank]),
                 )
                 out[self.rank] = objs[self.rank]
             for src in src_list:
                 if src != self.rank:
                     out[src] = self._collective_recv(
-                        src, tag=-6, timeout=timeout, what="alltoallv"
+                        src, tag=tag, timeout=timeout, what=name
                     )
             return out
 

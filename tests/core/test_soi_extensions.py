@@ -36,11 +36,18 @@ class TestSoiIfft:
 
 
 class TestBatchedSoi:
-    def test_matches_per_row(self, plan10):
-        xb = np.stack([random_complex(plan10.n, 40 + i) for i in range(3)])
-        full = soi_fft(xb, plan10)
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("backend", ["numpy", "repro"])
+    def test_matches_per_row(self, backend, dtype):
+        # The batched generic path and the 1-D fused chain share only
+        # the back stage; their rows must still agree bitwise.
+        plan = SoiPlan(n=1024, p=4, window="digits10", dtype=dtype)
+        xb = np.stack([random_complex(plan.n, 40 + i) for i in range(3)])
+        full = soi_fft(xb, plan, backend=backend)
         for i in range(3):
-            np.testing.assert_array_equal(full[i], soi_fft(xb[i], plan10))
+            np.testing.assert_array_equal(
+                full[i], soi_fft(xb[i], plan, backend=backend)
+            )
 
     def test_3d_batch(self, plan10):
         xb = random_complex(4 * plan10.n, 44).reshape(2, 2, plan10.n)

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from repro.core import SoiPlan
-from repro.parallel import rfft_distributed, soi_fft_distributed, split_blocks
+from repro.parallel import (
+    SoiResilience,
+    rfft_distributed,
+    soi_fft_distributed,
+    split_blocks,
+)
 from repro.simmpi import run_spmd
 
 N = 8192  # full (real) length; the half-length plan transforms N/2
@@ -99,6 +104,22 @@ class TestValidation:
             run_spmd(
                 4,
                 lambda comm: rfft_distributed(comm, blocks[comm.rank], half_plan),
+            )
+
+    def test_rejects_resilience(self, half_plan):
+        # The untangle exchange is not fault-tolerant: after a survived
+        # failure the casualty's block would never be untangled.
+        x = random_real(N, seed=19)
+        blocks = split_blocks(x, 4)
+        res = SoiResilience()
+        with pytest.raises(Exception, match="resilience="):
+            run_spmd(
+                4,
+                lambda comm: rfft_distributed(
+                    comm, blocks[comm.rank], half_plan, resilience=res
+                ),
+                resilient=True,
+                timeout=30.0,
             )
 
     def test_too_many_ranks_for_halo(self, half_plan):

@@ -30,6 +30,9 @@ RANKS = 4
 #: Kill boundaries that must be SURVIVED (bit-exact recovery).
 SURVIVABLE_PHASES = ("convolve", "fft-p", "alltoall", "fft-m", "commit")
 
+#: Node-local FFT backends the shared SOI chain must serve identically.
+BACKENDS = ("numpy", "repro")
+
 #: Hard per-run wall guard: a hang is a contract violation, not a retry.
 WALL_GUARD_S = 30.0
 
@@ -44,19 +47,26 @@ def blocks(plan):
     return split_blocks(random_complex(plan.n, 77), RANKS)
 
 
-@pytest.fixture(scope="module")
-def baseline(plan, blocks):
+def _blocking_run(plan, blocks, backend="numpy"):
     out = run_spmd(
-        RANKS, lambda c: soi_fft_distributed(c, blocks[c.rank], plan)
+        RANKS,
+        lambda c: soi_fft_distributed(c, blocks[c.rank], plan, backend=backend),
     )
     return np.concatenate(out.values)
 
 
-def _resilient_run(plan, blocks, nranks, **kwargs):
+@pytest.fixture(scope="module")
+def baseline(plan, blocks):
+    return _blocking_run(plan, blocks)
+
+
+def _resilient_run(plan, blocks, nranks, backend="numpy", **kwargs):
     res = SoiResilience()
     out = run_spmd(
         nranks,
-        lambda c: soi_fft_distributed(c, blocks[c.rank], plan, resilience=res),
+        lambda c: soi_fft_distributed(
+            c, blocks[c.rank], plan, backend=backend, resilience=res
+        ),
         resilient=True,
         timeout=WALL_GUARD_S,
         **kwargs,
@@ -65,9 +75,12 @@ def _resilient_run(plan, blocks, nranks, **kwargs):
 
 
 class TestFaultFree:
-    def test_bitwise_identical_to_blocking(self, plan, blocks, baseline):
-        out, res = _resilient_run(plan, blocks, RANKS)
-        assert np.array_equal(np.concatenate(out.values), baseline)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_bitwise_identical_to_blocking(self, plan, blocks, backend):
+        out, res = _resilient_run(plan, blocks, RANKS, backend=backend)
+        assert np.array_equal(
+            np.concatenate(out.values), _blocking_run(plan, blocks, backend)
+        )
         assert not res.degraded
         assert not out.degraded
         assert res.detections == []
@@ -141,6 +154,21 @@ class TestSingleFailureRecovery:
         parts = list(out.values)
         parts[victim] = y_dead
         assert np.array_equal(np.concatenate(parts), baseline)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_kill_recovers_bit_exactly_on_backend(self, plan, blocks, backend):
+        # An alltoall kill exercises every stage call of the resilient
+        # path: the redo of fft-m, the buddy's recomputed front stage
+        # and its rebuild of the casualty's output block.
+        out, res = _resilient_run(
+            plan, blocks, RANKS, backend=backend,
+            faults=FaultPlan().kill(2, phase="alltoall"),
+        )
+        parts = list(out.values)
+        parts[2] = res.recovered_blocks[2][1]
+        assert np.array_equal(
+            np.concatenate(parts), _blocking_run(plan, blocks, backend)
+        )
 
     def test_recovery_traffic_and_detections_charged(self, plan, blocks):
         out, _ = _resilient_run(
