@@ -19,22 +19,17 @@ virtual timeline of :mod:`repro.trace`: an ASCII timeline per
 algorithm, per-kind/per-phase rollups, and — with ``--trace-out`` — a
 Chrome trace-event JSON loadable in Perfetto / ``chrome://tracing``.
 
-The ``bench-*`` sections are registered from :data:`repro.bench.BENCHES`.
-Each runs one bench, prints its headline numbers and one row per gate,
-and writes the payload to its ``BENCH_PR*.json`` (or ``--bench-out``).
-A payload carries its own ``gates`` and ``ok``; a failed gate exits 1.
+The measured benchmark is ``soibench/run.py`` (see ``BENCHMARK.json``).
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
 import numpy as np
 
-from .bench import BENCHES, format_table
 from .utils.atomic import write_json_atomic
 
 
@@ -305,27 +300,6 @@ def _trace(args: argparse.Namespace) -> dict:
     return payload
 
 
-def _bench(name: str, args: argparse.Namespace) -> dict:
-    """Run one registered bench: print its headline and gates, write its JSON."""
-    runner, default_out = BENCHES[name]
-    payload = runner(
-        quick=getattr(args, "bench_quick", False),
-        reps=getattr(args, "bench_reps", None),
-    )
-    head = payload["headline"]
-    rows = [[k, v] for k, v in head.items() if isinstance(v, (int, float))]
-    rows += [
-        [f"gate: {gate}", "ok" if passed else "FAIL"]
-        for gate, passed in payload["gates"].items()
-    ]
-    print(format_table(["field", "value"], rows, title=f"{name} — {head['name']}"))
-    out = getattr(args, "bench_out", None) or default_out
-    write_json_atomic(out, payload)
-    print(f"wrote {out}")
-    print()
-    return payload
-
-
 def _serve(args: argparse.Namespace) -> dict:
     """Demo the transform service: mixed load, then the SLO report."""
     import threading
@@ -489,7 +463,6 @@ SECTIONS = {
     "fig7": _fig7,
     "fig8": lambda args: _fig_sweeps(["fig8"])["fig8"],
     "fig9": _fig9,
-    **{name: functools.partial(_bench, name) for name in BENCHES},
     "serve": _serve,
     "check": _check,
 }
@@ -517,26 +490,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="PATH",
         default=None,
         help="trace section: write the SOI run as Chrome trace-event JSON to PATH",
-    )
-    parser.add_argument(
-        "--bench-out",
-        metavar="PATH",
-        default=None,
-        help="bench sections: output JSON path, one bench section only (default "
-        + ", ".join(f"{out} for {name}" for name, (_, out) in BENCHES.items())
-        + ")",
-    )
-    parser.add_argument(
-        "--bench-quick",
-        action="store_true",
-        help="bench sections: small sizes / few reps (CI smoke mode)",
-    )
-    parser.add_argument(
-        "--bench-reps",
-        metavar="N",
-        type=int,
-        default=None,
-        help="bench sections: repetitions / iterations per timed variant",
     )
     parser.add_argument(
         "--schedules",
@@ -576,15 +529,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.list:
         print("\n".join(SECTIONS))
         return 0
-    sections = args.sections or list(SECTIONS)
-    if args.bench_out and sum(name in BENCHES for name in sections) > 1:
-        parser.error("--bench-out names one file; select a single bench section")
     payloads = {}
-    for name in sections:
+    for name in args.sections or list(SECTIONS):
         payloads[name] = SECTIONS[name](args)
     if args.json:
         print(json.dumps(payloads, indent=2, sort_keys=True))
-    # Audit and bench sections publish an "ok" verdict; a failed one fails the run.
+    # The check section publishes an "ok" verdict; a failed one fails the run.
     if any(p.get("ok") is False for p in payloads.values() if isinstance(p, dict)):
         return 1
     return 0

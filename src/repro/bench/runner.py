@@ -25,17 +25,6 @@ from .workloads import random_complex
 __all__ = ["FigureResult", "run_figure_sweep", "measured_traffic", "trace_rollups"]
 
 
-def with_gates(payload: dict, gates: dict) -> dict:
-    """Attach a bench payload's verdict: named pass/fail *gates* and ``ok``.
-
-    ``ok`` is true only when every gate holds; ``python -m repro`` exits
-    1 on a payload whose ``ok`` is false.
-    """
-    payload["gates"] = {name: bool(passed) for name, passed in gates.items()}
-    payload["ok"] = all(payload["gates"].values())
-    return payload
-
-
 @dataclass
 class FigureResult:
     """One regenerated figure: the sweep, its printed form, and extras."""

@@ -67,14 +67,16 @@ def error_budget(plan) -> dict[str, float]:
 
     ``computed_y - y) / |y| = O(kappa * (eps_fft + eps_alias + eps_trunc))``
 
-    ``eps_fft`` is taken as double-precision rounding amplified by the
-    log-depth of the underlying FFT (the usual O(eps * log N) model).
-    Returns the individual terms and the modelled total/digits/SNR.
+    ``eps_fft`` is the rounding unit of the plan's dtype (float64 for
+    complex128, float32 for complex64) amplified by the log-depth of the
+    underlying FFT (the usual O(eps * log N) model).  Returns the
+    individual terms and the modelled total/digits/SNR.
     """
     design = getattr(plan, "design", None)
     if design is None:
         raise ValueError("plan was built from a bare window; no design metrics")
-    eps_fft = np.finfo(np.float64).eps * math.log2(max(plan.n_over, 2))
+    eps = float(np.finfo(plan.dtype).eps)
+    eps_fft = eps * math.log2(max(plan.n_over, 2))
     total = design.kappa * (eps_fft + design.eps_alias + design.eps_trunc)
     return {
         "kappa": design.kappa,

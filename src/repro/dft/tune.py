@@ -10,9 +10,9 @@ memory-bound, and the crossovers move with cache sizes.  Following
 AccFFT's install-time racing and FFTW's planner, this module
 
 1. **races** the candidate configurations per shape with :func:`race`,
-   the burst-interleaved min-of-reps loop :mod:`repro.bench` also times
-   with (one warm-up each, then interleaved timing bursts so drift hits
-   all candidates equally, keeping the minimum per candidate);
+   the library's one burst-interleaved min-of-reps timing loop (one
+   warm-up each, then interleaved timing bursts so drift hits all
+   candidates equally, keeping the minimum per candidate);
 2. **verifies** every candidate bitwise against the radix-2 default on
    a deterministic probe before it may win (defence in depth — the
    schedules are bitwise-identical by construction);
@@ -207,12 +207,12 @@ def race_shape(
 ) -> dict:
     """Race all candidates for one shape; returns the full measurement.
 
-    Timing is :func:`race` (the :mod:`repro.bench.micro` methodology):
-    burst-interleaved min-of-reps, so clock drift and cache state
-    changes hit all candidates symmetrically; the minimum is the
-    best-case per candidate.  Candidates are bitwise-verified against
-    the default on the probe input before timing — a mismatching
-    candidate (impossible by construction, checked anyway) is dropped.
+    Timing is :func:`race`: burst-interleaved min-of-reps, so clock
+    drift and cache state changes hit all candidates symmetrically;
+    the minimum is the best-case per candidate.  Candidates are
+    bitwise-verified against the default on the probe input before
+    timing — a mismatching candidate (impossible by construction,
+    checked anyway) is dropped.
 
     Returns ``{"n", "dtype", "nb", "bucket", "config", "us",
     "baseline_us", "speedup", "candidates": {label: us}}`` where
@@ -339,8 +339,7 @@ def tuned_config_for(n: int, dtype, nb: int) -> dict | None:
 
     ``None`` means "no wisdom: use the default config" — the lookup
     never triggers a race on its own (racing is explicit: the tuner
-    API, ``python -m repro bench-tune``, or a server warm-up), so hot
-    paths stay measurement-free.
+    API or a server warm-up), so hot paths stay measurement-free.
     """
     global _wisdom_hits, _wisdom_misses
     key = (int(n), _dtype_name(dtype), batch_bucket(nb))

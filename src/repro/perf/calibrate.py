@@ -12,7 +12,6 @@ contraction) sustains a several-fold higher flop rate than the FFT
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ import numpy as np
 from ..core.plan import SoiPlan
 from ..core.soi import soi_convolve
 from ..dft.flops import fft_flops, soi_convolution_flops
+from ..dft.tune import race
 
 __all__ = ["KernelRates", "measure_kernel_rates"]
 
@@ -39,15 +39,6 @@ class KernelRates:
         return self.conv_gflops / self.fft_gflops
 
 
-def _best_time(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def measure_kernel_rates(
     n: int = 1 << 16,
     p: int = 8,
@@ -65,13 +56,13 @@ def measure_kernel_rates(
     plan = SoiPlan(n=n, p=p, window=window)
     x = gen.standard_normal(n) + 1j * gen.standard_normal(n)
 
-    soi_convolve(x, plan)  # warm caches
-    t_conv = _best_time(lambda: soi_convolve(x, plan), repeats)
-    conv_rate = soi_convolution_flops(plan.n_over, plan.b) / t_conv / 1e9
-
     buf = gen.standard_normal(n) + 1j * gen.standard_normal(n)
-    np.fft.fft(buf)
-    t_fft = _best_time(lambda: np.fft.fft(buf), repeats)
-    fft_rate = fft_flops(n) / t_fft / 1e9
+    best_us = race(
+        {"conv": lambda: soi_convolve(x, plan), "fft": lambda: np.fft.fft(buf)},
+        repeats,
+        burst=1,
+    )
+    conv_rate = soi_convolution_flops(plan.n_over, plan.b) / best_us["conv"] / 1e3
+    fft_rate = fft_flops(n) / best_us["fft"] / 1e3
 
     return KernelRates(fft_gflops=fft_rate, conv_gflops=conv_rate, n=n, b=plan.b)

@@ -48,9 +48,9 @@ class ServeConfig:
     """Frozen server configuration.
 
     ``coalesce=False`` caps every batch at one request — the
-    one-request-at-a-time baseline ``bench-serve`` compares against;
-    everything else (admission, metrics, workers) stays identical, so
-    the measured difference is purely the batching.
+    one-request-at-a-time baseline; everything else (admission,
+    metrics, workers) stays identical, so a measured difference is
+    purely the batching.
     """
 
     workers: int = 2

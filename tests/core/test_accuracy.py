@@ -80,3 +80,15 @@ class TestErrorBudget:
         assert budget["modelled_snr_db"] == pytest.approx(
             20.0 * budget["modelled_digits"]
         )
+
+    def test_eps_fft_follows_the_plan_dtype(self):
+        """complex64 rounds at float32; the design terms do not move."""
+        p128 = SoiPlan(n=4096, p=8, window="digits10")
+        p64 = SoiPlan(n=4096, p=8, window="digits10", dtype=np.complex64)
+        b128, b64 = error_budget(p128), error_budget(p64)
+        log_depth = math.log2(p128.n_over)
+        assert b128["eps_fft"] == np.finfo(np.float64).eps * log_depth
+        assert b64["eps_fft"] == float(np.finfo(np.float32).eps) * log_depth
+        for key in ("kappa", "eps_alias", "eps_trunc"):
+            assert b64[key] == b128[key]
+        assert b64["modelled_relative_error"] > b128["modelled_relative_error"]

@@ -6,8 +6,14 @@ import pytest
 
 from repro.bench.workloads import random_complex
 from repro.core import SoiPlan, snr_db
-from repro.parallel import soi_fft_distributed, soi_rank_layout, split_blocks
-from repro.simmpi import run_spmd
+from repro.parallel import (
+    soi_fft_distributed,
+    soi_rank_layout,
+    soi_verify_tolerance,
+    split_blocks,
+)
+from repro.parallel.selfcheck import parseval_check
+from repro.simmpi import RankFailure, VerificationError, run_spmd
 from tests.conftest import (
     SNR_DIGITS10_DB,
     SNR_FULL_DB,
@@ -136,3 +142,56 @@ class TestLayoutValidation:
 
         with pytest.raises(Exception, match="local block"):
             run_spmd(4, prog, timeout=5)
+
+
+class TestVerifyComplex64:
+    """``verify=True`` screens a complex64 run with the float32 error model."""
+
+    @pytest.fixture(scope="class")
+    def plan64(self):
+        return SoiPlan(n=4096, p=8, window="digits10", dtype=np.complex64)
+
+    @pytest.fixture(scope="class")
+    def blocks64(self, plan64):
+        return split_blocks(random_complex(plan64.n, 11).astype(np.complex64), 4)
+
+    @pytest.mark.parametrize("backend", ["numpy", "repro"])
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_correct_run_passes_the_screen(self, plan64, blocks64, backend, overlap):
+        res = run_spmd(
+            4,
+            lambda comm: soi_fft_distributed(
+                comm, blocks64[comm.rank], plan64,
+                verify=True, backend=backend, overlap=overlap,
+            ),
+        )
+        ref = run_spmd(
+            4,
+            lambda comm: soi_fft_distributed(
+                comm, blocks64[comm.rank], plan64, backend=backend
+            ),
+        )
+        np.testing.assert_array_equal(
+            np.concatenate(res.values), np.concatenate(ref.values)
+        )
+
+    def test_zeroed_block_still_raises(self, plan64, blocks64):
+        ref = run_spmd(
+            4, lambda comm: soi_fft_distributed(comm, blocks64[comm.rank], plan64)
+        )
+        outs = [np.asarray(v) for v in ref.values]
+        outs[1] = np.zeros_like(outs[1])
+
+        def prog(comm):
+            parseval_check(
+                comm,
+                float(np.sum(np.abs(blocks64[comm.rank]) ** 2)),
+                outs[comm.rank],
+                plan64.n,
+                soi_verify_tolerance(plan64),
+                "zeroed block",
+            )
+
+        with pytest.raises(RankFailure) as info:
+            run_spmd(4, prog, timeout=30)
+        assert isinstance(info.value.original, VerificationError)

@@ -53,13 +53,6 @@ class TestCli:
             "snr",
             "traffic",
             "trace",
-            "bench-micro",
-            "bench-overlap",
-            "bench-resilience",
-            "bench-serve",
-            "bench-a2a",
-            "bench-scale",
-            "bench-tune",
             "serve",
             "check",
             "fig5",
@@ -189,54 +182,67 @@ class TestCheckSection:
         assert main(["check"]) == 1
 
 
-def _bench_runner(**extra):
-    """A stand-in bench runner returning a minimal gated payload."""
+def _failing_report(bad=None):
+    """A stand-in conformance registry with one failed row."""
+    from repro.check import ConformanceReport, ConformanceRow
 
-    def runner(quick=False, reps=None):
-        return {"headline": {"name": "stand-in", "speedup": 2.0}, **extra}
-
-    return runner
+    report = ConformanceReport("small")
+    report.add(ConformanceRow("forced", "dft", 8, 1.0, 0.0, False))
+    if bad is not None:
+        report.as_dict = lambda: {"rows": [bad]}
+    return lambda size: report
 
 
 class TestBenchSections:
-    """Every bench-* section runs through one code path fed by BENCHES."""
+    """The CLI has no bench sections or bench flags: soibench is the
+    measured benchmark and the old bench gates are tier-1 tests."""
 
-    def test_sections_registered_from_bench_registry(self):
-        from repro.bench import BENCHES
-
-        assert [name for name in SECTIONS if name in BENCHES] == list(BENCHES)
+    def test_sections_registered_from_bench_registry(self, capsys):
+        """``--list`` names no bench section; ``--bench-quick`` is unknown."""
+        assert main(["--list"]) == 0
+        listed = capsys.readouterr().out.split()
+        assert "check" in listed
+        assert not [name for name in listed if name.startswith("bench-")]
+        with pytest.raises(SystemExit):
+            main(["snr", "--bench-quick"])
 
     def test_bench_out_with_two_bench_sections_is_rejected(self, tmp_path):
+        """The other bench flags and a bench section name are rejected too."""
         out = tmp_path / "bench.json"
-        with pytest.raises(SystemExit):
-            main(["bench-micro", "bench-tune", "--bench-quick", "--bench-out", str(out)])
+        for argv in (
+            ["snr", "--bench-out", str(out)],
+            ["snr", "--bench-reps", "1"],
+            ["bench-micro"],
+        ):
+            with pytest.raises(SystemExit):
+                main(argv)
         assert not out.exists()
 
     def test_failed_gate_exits_one_and_still_writes_json(
         self, capsys, monkeypatch, tmp_path
     ):
-        from repro.bench import BENCHES
+        """A failed check verdict exits 1 and still writes its report."""
+        import repro.check
 
-        runner = _bench_runner(gates={"forced": False}, ok=False)
-        monkeypatch.setitem(BENCHES, "bench-micro", (runner, "unused.json"))
-        out = tmp_path / "bench.json"
-        assert main(["bench-micro", "--bench-out", str(out)]) == 1
-        text = capsys.readouterr().out
-        assert "gate: forced" in text and "FAIL" in text
-        assert "speedup" in text
+        monkeypatch.setattr(repro.check, "run_conformance", _failing_report())
+        out = tmp_path / "check.json"
+        assert main(["check", "--schedules", "2", "--report-out", str(out)]) == 1
+        assert "FAIL forced" in capsys.readouterr().out
         doc = json.loads(out.read_text(encoding="utf-8"))
-        assert doc["ok"] is False and doc["gates"] == {"forced": False}
+        assert doc["ok"] is False
 
     def test_unserialisable_payload_keeps_the_previous_file(
         self, capsys, monkeypatch, tmp_path
     ):
-        from repro.bench import BENCHES
+        """A report that cannot be written leaves the previous file intact."""
+        import repro.check
 
-        runner = _bench_runner(gates={"g": True}, ok=True, bad=object())
-        monkeypatch.setitem(BENCHES, "bench-micro", (runner, "unused.json"))
-        out = tmp_path / "bench.json"
+        monkeypatch.setattr(
+            repro.check, "run_conformance", _failing_report(bad=object())
+        )
+        out = tmp_path / "check.json"
         out.write_text("previous\n", encoding="utf-8")
         with pytest.raises(TypeError):
-            main(["bench-micro", "--bench-out", str(out)])
+            main(["check", "--schedules", "2", "--report-out", str(out)])
         assert out.read_text(encoding="utf-8") == "previous\n"
         assert list(tmp_path.iterdir()) == [out]
